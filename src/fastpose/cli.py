@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .bench import format_report_csv, measure_latency, read_runs_csv, write_late
 from .datio import load_object_models, parse_gt_json, parse_result_csv
 from .distill import Adapter, DistillConfig, distill_train, fine_tune, make_input_sampler, write_trace_csv
 from .errors import FastposeError
-from .metrics import evaluate, report_to_csv, report_to_dict
+from .metrics import evaluate, instance_key, match_estimates, report_to_csv, report_to_dict
 from .net import ToyConfig, build_toy_backbone, build_toy_gdrn, build_toy_head, build_toy_pnp, count_flops, count_params, load_model, save_model
 from .prune import PruneConfig, PrunePlan, apply_prune, plan_prune
 from .raster import render_distance_map, write_pgm
@@ -44,17 +43,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("FASTPOSE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"FASTPOSE_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise UsageError("FASTPOSE_THREADS must be >= 1")
-    return threads
-
-
 class UsageError(Exception):
     pass
 
@@ -63,13 +51,13 @@ def _cmd_eval(args) -> int:
     records, objects = parse_gt_json(args.gt)
     models = load_object_models(args.models, objects)
     estimates = parse_result_csv(args.results)
-    result = evaluate(estimates, records, models, threads=_threads_from_env())
+    result = evaluate(estimates, records, models)
     if args.dump_maps:
         dump_dir = Path(args.dump_maps)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        est_by_key = {(e.scene_id, e.im_id, e.obj_id): e for e in estimates}
+        est_by_key, _ = match_estimates(estimates, {instance_key(rec) for rec in records})
         for rec in records:
-            key = (rec.scene_id, rec.im_id, rec.obj_id)
+            key = instance_key(rec)
             stem = f"{rec.scene_id:06d}_{rec.im_id:06d}_{rec.obj_id:06d}"
             model = models[rec.obj_id]
             write_pgm(render_distance_map(model, rec.pose, rec.camera), dump_dir / f"{stem}_gt.pgm")

@@ -9,7 +9,6 @@ strict less-than everywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,28 +38,27 @@ def e_add_s(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
     return float(np.sqrt(d2.min(axis=1)).mean())
 
 
-def e_mssd(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
-    """Max vertex distance, minimized over the model's symmetry set (mm)."""
+def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt: Pose, image) -> float:
+    """Max distance between the `image` of the two posed vertex sets,
+    minimized over the model's symmetry set."""
     if len(model.vertices) == 0:
-        raise EmptyModel("MSSD needs at least one vertex")
-    est = pose_est.transform(model.vertices)
+        raise EmptyModel(f"{name} needs at least one vertex")
+    est = image(pose_est.transform(model.vertices))
     best = np.inf
     for sym in model.symmetries:
-        gt_sym = pose_gt.compose(sym).transform(model.vertices)
+        gt_sym = image(pose_gt.compose(sym).transform(model.vertices))
         best = min(best, float(np.linalg.norm(est - gt_sym, axis=1).max()))
     return best
+
+
+def e_mssd(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
+    """Max vertex distance, minimized over the model's symmetry set (mm)."""
+    return _min_over_symmetries("MSSD", model, pose_est, pose_gt, lambda pts: pts)
 
 
 def e_mspd(model: ObjectModel, pose_est: Pose, pose_gt: Pose, camera: CameraIntrinsics) -> float:
     """Max projected vertex distance, minimized over the symmetry set (px)."""
-    if len(model.vertices) == 0:
-        raise EmptyModel("MSPD needs at least one vertex")
-    est = project_points(camera, pose_est.transform(model.vertices))
-    best = np.inf
-    for sym in model.symmetries:
-        gt_sym = project_points(camera, pose_gt.compose(sym).transform(model.vertices))
-        best = min(best, float(np.linalg.norm(est - gt_sym, axis=1).max()))
-    return best
+    return _min_over_symmetries("MSPD", model, pose_est, pose_gt, lambda pts: project_points(camera, pts))
 
 
 def e_vsd(
@@ -93,14 +91,21 @@ def e_vsd(
     return [float((union_count - int((diff < tau).sum())) / union_count) for tau in taus]
 
 
+def _recall_table(errors: np.ndarray, thresholds) -> np.ndarray:
+    """Fraction of errors strictly below each threshold: (n,) errors give
+    one recall per threshold, (n, k) errors a (k, n_thresholds) table."""
+    errors = np.asarray(errors, dtype=np.float64)
+    if errors.size == 0:
+        raise EmptyInput("recall over an empty error list")
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if (thresholds <= 0).any():
+        raise ValueError("threshold must be positive")
+    return (errors[..., None] < thresholds).sum(axis=0) / len(errors)
+
+
 def recall_at(errors, threshold: float) -> float:
     """Fraction of errors strictly below the threshold."""
-    errs = np.asarray(list(errors), dtype=np.float64)
-    if errs.size == 0:
-        raise EmptyInput("recall over an empty error list")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return float((errs < threshold).sum() / errs.size)
+    return float(_recall_table(list(errors), [threshold])[0])
 
 
 @dataclass(frozen=True)
@@ -237,28 +242,13 @@ def average_recall(samples, grid: ThresholdGrid, diameters: dict[int, float]) ->
                     f"vsd vector length {len(s.vsd_errors)} != tau grid length {len(grid.vsd_taus)}"
                 )
             vsd_vectors.append(s.vsd_errors)
-        vsd_arr = np.asarray(vsd_vectors, dtype=np.float64)  # (n, n_taus)
-        vsd_table = tuple(
-            tuple(recall_at(vsd_arr[:, k], theta) for theta in grid.vsd_correctness)
-            for k in range(len(grid.vsd_taus))
-        )
-        ar_vsd = float(np.mean([r for row in vsd_table for r in row]))
-
-        mssd_errors = [s.error_value for s in kinds["mssd"]]
-        mssd_table = tuple(recall_at(mssd_errors, f * diameter) for f in grid.mssd_correctness)
-        ar_mssd = float(np.mean(mssd_table))
-
-        mspd_errors = [s.error_value for s in kinds["mspd"]]
-        mspd_table = tuple(recall_at(mspd_errors, k * grid.r) for k in grid.mspd_correctness)
-        ar_mspd = float(np.mean(mspd_table))
-
+        vsd = _recall_table(vsd_vectors, grid.vsd_correctness)  # (n_taus, n_correctness)
+        mssd = _recall_table([s.error_value for s in kinds["mssd"]], np.multiply(grid.mssd_correctness, diameter))
+        mspd = _recall_table([s.error_value for s in kinds["mspd"]], np.multiply(grid.mspd_correctness, grid.r))
         add_kind = "add-s" if "add-s" in kinds else ("add" if "add" in kinds else None)
+        add = None
         if add_kind is not None:
-            add_errors = [s.error_value for s in kinds[add_kind]]
-            add_table = tuple(recall_at(add_errors, f * diameter) for f in grid.add_correctness)
-            ar_add = float(np.mean(add_table))
-        else:
-            add_table, ar_add = (), None
+            add = _recall_table([s.error_value for s in kinds[add_kind]], np.multiply(grid.add_correctness, diameter))
 
         counts = {len(kinds[k]) for k in ("vsd", "mssd", "mspd")}
         if len(counts) != 1:
@@ -267,15 +257,15 @@ def average_recall(samples, grid: ThresholdGrid, diameters: dict[int, float]) ->
             ObjectRecall(
                 obj_id=obj_id,
                 n_instances=counts.pop(),
-                ar_vsd=ar_vsd,
-                ar_mssd=ar_mssd,
-                ar_mspd=ar_mspd,
-                ar_add=ar_add,
+                ar_vsd=float(vsd.ravel().mean()),  # over the table's entries in row-major order
+                ar_mssd=float(mssd.mean()),
+                ar_mspd=float(mspd.mean()),
+                ar_add=None if add is None else float(add.mean()),
                 add_kind=add_kind,
-                vsd_table=vsd_table,
-                mssd_table=mssd_table,
-                mspd_table=mspd_table,
-                add_table=add_table,
+                vsd_table=tuple(tuple(row) for row in vsd.tolist()),
+                mssd_table=tuple(mssd.tolist()),
+                mspd_table=tuple(mspd.tolist()),
+                add_table=() if add is None else tuple(add.tolist()),
             )
         )
 
@@ -328,16 +318,38 @@ def _instance_errors(model: ObjectModel, est: Pose | None, gt_pose: Pose,
     ]
 
 
+def instance_key(rec) -> tuple[int, int, int]:
+    """The (scene_id, im_id, obj_id) key that matches estimates to ground truth."""
+    return (rec.scene_id, rec.im_id, rec.obj_id)
+
+
+def match_estimates(estimates, gt_keys) -> tuple[dict, int]:
+    """Pick the estimate scored for each ground-truth key, in one pass.
+
+    Duplicate estimates for a key keep the highest score, the earliest on
+    ties. Returns that estimate per matched key and the number of
+    estimates whose key is not in `gt_keys`.
+    """
+    best, n_extra = {}, 0
+    for est in estimates:
+        key = instance_key(est)
+        if key not in gt_keys:
+            n_extra += 1
+        elif key not in best or est.score > best[key].score:
+            best[key] = est
+    return best, n_extra
+
+
 def evaluate(estimates, ground_truth, models: dict[int, ObjectModel],
-             grid: ThresholdGrid | None = None, threads: int = 1) -> EvalResult:
+             grid: ThresholdGrid | None = None) -> EvalResult:
     """Match estimates to ground-truth instances and aggregate AR.
 
-    Instances are keyed by (scene_id, im_id, obj_id). Duplicate estimates for
-    a key keep the highest score (earliest on ties); estimates with no
-    ground truth are counted but ignored; ground truth with no estimate
-    contributes +inf errors. All images must share one width so a single
-    projection-threshold unit applies. `threads` > 1 parallelizes the
-    per-instance error computation without changing sample order.
+    `estimates` and `ground_truth` may be any iterables; each is read once.
+    Estimates are matched by `match_estimates`: estimates with no ground
+    truth are counted but ignored, and ground truth with no estimate
+    contributes +inf errors. Instances are scored serially in key order.
+    All images must share one width so a single projection-threshold unit
+    applies.
     """
     ground_truth = list(ground_truth)
     if not ground_truth:
@@ -352,37 +364,23 @@ def evaluate(estimates, ground_truth, models: dict[int, ObjectModel],
         grid = ThresholdGrid.bop_default(image_width=widths.pop())
 
     gt_by_key = {}
-    for rec in sorted(ground_truth, key=lambda r: (r.scene_id, r.im_id, r.obj_id)):
-        key = (rec.scene_id, rec.im_id, rec.obj_id)
+    for rec in sorted(ground_truth, key=instance_key):
+        key = instance_key(rec)
         if key in gt_by_key:
             raise InvalidConfig(f"duplicate ground-truth instance {key}")
         gt_by_key[key] = rec
 
-    est_by_key = {}
-    for est in estimates:
-        key = (est.scene_id, est.im_id, est.obj_id)
-        if key not in gt_by_key:
-            continue
-        best = est_by_key.get(key)
-        if best is None or est.score > best.score:
-            est_by_key[key] = est
-    n_extra = len(list(estimates)) - sum(1 for e in estimates if (e.scene_id, e.im_id, e.obj_id) in gt_by_key)
-
-    jobs = []
+    est_by_key, n_extra = match_estimates(estimates, gt_by_key)
+    samples = []
     for key, rec in gt_by_key.items():
         est = est_by_key.get(key)
-        jobs.append((models[rec.obj_id], est.pose if est else None, rec.pose, rec.camera, key, grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda args: _instance_errors(*args), jobs))
-    else:
-        results = [_instance_errors(*args) for args in jobs]
-    samples = tuple(s for group in results for s in group)
+        samples += _instance_errors(models[rec.obj_id], None if est is None else est.pose,
+                                    rec.pose, rec.camera, key, grid)
     diameters = {obj_id: m.diameter for obj_id, m in models.items()}
     report = average_recall(samples, grid, diameters)
     return EvalResult(
         report=report,
-        samples=samples,
+        samples=tuple(samples),
         n_matched=len(est_by_key),
         n_missing=len(gt_by_key) - len(est_by_key),
         n_extra=n_extra,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..datio import _need
 from ..errors import SchemaViolation, UnsupportedFormat
 from .graph import LayerGraph
 from .layers import LAYER_KINDS, ConcatChannels, Conv2D, Dense, GroupNorm
@@ -57,12 +58,6 @@ def save_model(graph: LayerGraph, path: str | Path) -> Path:
     (path.parent / weights_name).write_bytes(blob.astype("<f4").tobytes())
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
-
-
-def _need(d: dict, key: str, where: str):
-    if key not in d:
-        raise SchemaViolation(where, f"missing key {key!r}")
-    return d[key]
 
 
 def _build_layer(entry: dict, weights: np.ndarray, where: str):

@@ -169,21 +169,6 @@ class TestEval:
             assert main(eval_args(gt, meshes, results, "--format", "csv", "--out", str(out))) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        gt, meshes, results = eval_fixture(tmp_path)
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("FASTPOSE_THREADS", "1")
-        assert main(eval_args(gt, meshes, results, "--format", "csv", "--out", str(out_a))) == 0
-        monkeypatch.setenv("FASTPOSE_THREADS", "3")
-        assert main(eval_args(gt, meshes, results, "--format", "csv", "--out", str(out_b))) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_bad_thread_env_is_a_usage_error(self, tmp_path, monkeypatch, raw):
-        gt, meshes, results = eval_fixture(tmp_path)
-        monkeypatch.setenv("FASTPOSE_THREADS", raw)
-        assert main(eval_args(gt, meshes, results)) == 2
-
     def test_dump_maps_writes_named_pgms(self, tmp_path, capsys):
         gt, meshes, results = eval_fixture(tmp_path, with_second_estimate=False)
         dump = tmp_path / "maps"
@@ -197,6 +182,16 @@ class TestEval:
         ]
         first = (dump / names[0]).read_bytes()
         assert first.startswith(b"P2")
+
+    def test_dump_maps_renders_the_scored_duplicate(self, tmp_path, capsys):
+        gt, meshes, results = eval_fixture(tmp_path, with_second_estimate=False)
+        with results.open("a") as f:  # a lower-score duplicate, shifted 10 mm, listed last
+            f.write("1,1,1,0.5,1 0 0 0 1 0 0 0 1,-10 -20 300,0.05\n")
+        dump = tmp_path / "maps"
+        assert main(eval_args(gt, meshes, results, "--dump-maps", str(dump))) == 0
+        assert json.loads(capsys.readouterr().out)["ar_bop"] == 0.5
+        est_map, gt_map = (dump / f"000001_000001_000001_{kind}.pgm" for kind in ("est", "gt"))
+        assert est_map.read_bytes() == gt_map.read_bytes()
 
 
 class TestBuild:
@@ -339,6 +334,15 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "label,mean_ms,median_ms,iterations,flops,params"
         assert lines[1].startswith("tiny,")
+
+    def test_malformed_manifest_is_a_data_error(self, tmp_path, capsys):
+        model = build_model(tmp_path, "m.json", module="pnp")
+        doc = json.loads(model.read_text())
+        doc["layers"][0]["params"]["weight"] = 5
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0"]) == 1
+        assert "params.weight" in capsys.readouterr().err
 
     def test_bad_iteration_count_is_a_data_error(self, tmp_path, capsys):
         model = build_model(tmp_path, "m.json", module="pnp")

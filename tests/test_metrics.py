@@ -458,13 +458,13 @@ class TestEvaluate:
         with pytest.raises(EmptyInput):
             evaluate(est, [], models)
 
-    def test_threads_do_not_change_results(self):
-        models, gt, est = tiny_scene()
-        est = est[:-1]  # one miss to make it non-trivial
-        a = evaluate(est, gt, models, threads=1)
-        b = evaluate(est, gt, models, threads=3)
-        assert a.samples == b.samples
-        assert a.report == b.report
+    def test_estimates_may_be_a_generator(self):
+        models, gt, est = tiny_scene(n_images=1, obj_ids=(1,))
+        est = est + [EstimateRecord(9, 9, 1, 0.5, est[0].pose)]
+        listed = evaluate(est, gt, models)
+        streamed = evaluate(iter(est), gt, models)
+        assert streamed.n_extra == listed.n_extra == 1
+        assert streamed.samples == listed.samples
 
     def test_default_grid_uses_image_width(self):
         models, gt, est = tiny_scene(n_images=1, obj_ids=(1,))

@@ -588,6 +588,14 @@ class TestModelIO:
         with pytest.raises(SchemaViolation):
             load_model(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["layers"][0]["params"].update(weight=5),
+        lambda d: d["layers"].__setitem__(0, 5),
+    ], ids=["param-ref", "layer-entry"])
+    def test_non_object_entry_rejected(self, tmp_path, mutate):
+        with pytest.raises(SchemaViolation):
+            load_model(self.mutated(tmp_path, mutate))
+
     def test_truncated_weights_rejected(self, tmp_path):
         save_model(self.small_graph(), tmp_path / "m.json")
         blob = (tmp_path / "m.weights").read_bytes()
