@@ -128,18 +128,18 @@ def read_runs_csv(path) -> list[RunRecord]:
     `ar`, and one latency column (latency_ms, median_ms, or mean_ms). Whichever
     latency columns are absent inherit the one present; flops/params default
     to 0 when the columns are missing."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+    if not rows:
         raise EmptyInput(f"{path}: no rows")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in rows[0][1].split(",")]
     cols = {name: i for i, name in enumerate(header)}
     if "label" not in cols or "ar" not in cols:
         raise MalformedLine(1, "header must name 'label' and 'ar' columns")
     if not any(n in cols for n in ("latency_ms", "median_ms", "mean_ms")):
         raise MalformedLine(1, "header must name a latency column (latency_ms, median_ms, or mean_ms)")
     entries = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in rows[1:]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != len(header):
             raise MalformedLine(line_no, f"expected {len(header)} fields, got {len(fields)}")

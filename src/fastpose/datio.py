@@ -15,6 +15,7 @@ Three on-disk formats:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,9 +68,12 @@ def _floats(text: str, count: int, line_no: int, what: str) -> np.ndarray:
     if len(parts) != count:
         raise MalformedLine(line_no, f"{what} needs {count} numbers, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise MalformedLine(line_no, f"{what}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise MalformedLine(line_no, f"{what} must be finite")
+    return np.array(values)
 
 
 def parse_result_csv(path) -> list[EstimateRecord]:
@@ -109,14 +113,14 @@ def write_result_csv(path, records: list[EstimateRecord]) -> None:
     Path(path).write_text(serialize_result_csv(records), encoding="utf-8")
 
 
-def parse_ply(path) -> ObjectModel:
+def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> ObjectModel:
     """ASCII PLY subset: vertex element with x/y/z, triangle faces only.
 
-    Returns an ObjectModel with the computed diameter, identity-only
-    symmetries, and symmetric_flag false (the ground-truth JSON can override
-    all three). Extra scalar vertex properties are skipped by position;
-    anything beyond the subset (binary encodings, list vertex properties,
-    non-triangle faces) errors.
+    Returns an ObjectModel with `meta` applied as by apply_object_meta (no
+    meta: computed diameter, identity-only symmetries, symmetric_flag false).
+    Extra scalar vertex properties are skipped by position; anything beyond
+    the subset (binary encodings, list vertex properties, non-triangle
+    faces) errors.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -201,7 +205,7 @@ def parse_ply(path) -> ObjectModel:
         if min(idx) < 0 or max(idx) >= n_vertices:
             raise IndexOutOfRange(f"line {line_no}: vertex index outside 0..{n_vertices - 1}")
         triangles[f] = idx
-    return make_model(vertices, triangles)
+    return _model_with_meta(vertices, triangles, meta or ObjectMeta(), where)
 
 
 def _need(obj, key, where, kind=None):
@@ -231,7 +235,10 @@ def _pose_from_lists(r_list, t_list, where) -> Pose:
         raise SchemaViolation(f"{where}.cam_R_m2c", "must be a list of 9 numbers (row-major)")
     if not (isinstance(t_list, list) and len(t_list) == 3):
         raise SchemaViolation(f"{where}.cam_t_m2c", "must be a list of 3 numbers")
-    return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), np.array(t_list, dtype=np.float64))
+    t = np.array(t_list, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise SchemaViolation(f"{where}.cam_t_m2c", "must be finite numbers")
+    return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), t)
 
 
 def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]:
@@ -253,8 +260,8 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
             raise SchemaViolation(where, "object entry must be a JSON object")
         diameter = entry.get("diameter")
         if diameter is not None:
-            if not isinstance(diameter, (int, float)) or diameter <= 0:
-                raise SchemaViolation(f"{where}.diameter", "must be a positive number")
+            if not isinstance(diameter, (int, float)) or not 0 < diameter < math.inf:
+                raise SchemaViolation(f"{where}.diameter", "must be a positive finite number")
             diameter = float(diameter)
         symmetric = bool(entry.get("symmetric", False))
         syms = []
@@ -262,6 +269,8 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
             if not (isinstance(flat, list) and len(flat) == 12):
                 raise SchemaViolation(f"{where}.symmetries[{j}]", "must be 12 numbers (3x4 row-major)")
             m = np.array(flat, dtype=np.float64).reshape(3, 4)
+            if not np.all(np.isfinite(m)):
+                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be finite numbers")
             syms.append(Pose(m[:, :3], m[:, 3]))
         objects[obj_id] = ObjectMeta(diameter, symmetric, tuple(syms))
 
@@ -281,12 +290,12 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
 
 def apply_object_meta(model: ObjectModel, meta: ObjectMeta, where: str = "object") -> ObjectModel:
     """Overlay JSON metadata on a parsed mesh; identity symmetry added when absent."""
-    syms = meta.symmetries
-    if not any(s.is_identity() for s in syms):
-        syms = (Pose.identity(),) + syms
-    diameter = meta.diameter if meta.diameter is not None else model.diameter
+    return _model_with_meta(model.vertices, model.triangles, meta, where)
+
+
+def _model_with_meta(vertices, triangles, meta: ObjectMeta, where: str) -> ObjectModel:
     try:
-        return ObjectModel(model.vertices, model.triangles, diameter, syms, meta.symmetric)
+        return make_model(vertices, triangles, meta.symmetries, meta.symmetric, meta.diameter)
     except ValueError as exc:
         raise SchemaViolation(where, str(exc)) from exc
 
@@ -309,6 +318,5 @@ def load_object_models(mesh_dir, objects: dict[int, ObjectMeta]) -> dict[int, Ob
     for obj_id, meta in sorted(objects.items()):
         if obj_id not in meshes:
             raise FileNotFoundError(f"{mesh_dir}: no .ply mesh with trailing id {obj_id}")
-        model = parse_ply(meshes[obj_id])
-        models[obj_id] = apply_object_meta(model, meta, where=f"$.objects.{obj_id}")
+        models[obj_id] = parse_ply(meshes[obj_id], meta, where=f"$.objects.{obj_id}")
     return models

@@ -22,6 +22,7 @@ from .errors import (
 
 ROTATION_TOL = 1e-6
 DIAMETER_RTOL = 1e-6
+_BLOCK_ROWS = 128  # a distance block holds 24 * _BLOCK_ROWS * len(b) bytes of differences
 
 
 def _array(value, shape, name: str) -> np.ndarray:
@@ -107,13 +108,15 @@ class CameraIntrinsics:
 class ObjectModel:
     """Triangle mesh with diameter and a discrete symmetry set.
 
+    A None diameter is computed (EmptyModel without vertices), a stated one
+    checked within DIAMETER_RTOL (a vertex-less mesh counts as diameter 0);
     `symmetries` always contains the identity; `symmetric_flag` selects the
     closest-point metric variant over the exact-correspondence one.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    diameter: float
+    diameter: float | None = None
     symmetries: tuple[Pose, ...] = field(default=(Pose.identity(),))
     symmetric_flag: bool = False
 
@@ -127,10 +130,11 @@ class ObjectModel:
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise IndexOutOfRange("triangle index outside vertex range")
-        if len(v):
-            d = _pairwise_diameter(v)
-            if abs(self.diameter - d) > DIAMETER_RTOL * max(d, 1.0):
-                raise ValueError(f"stated diameter {self.diameter} != computed {d}")
+        d = _pairwise_diameter(v) if len(v) or self.diameter is None else 0.0
+        if self.diameter is None:
+            object.__setattr__(self, "diameter", d)
+        elif abs(self.diameter - d) > DIAMETER_RTOL * max(d, 1.0):
+            raise ValueError(f"stated diameter {self.diameter} != computed {d}")
         if not any(s.is_identity() for s in self.symmetries):
             raise ValueError("symmetry set must contain the identity")
 
@@ -140,21 +144,27 @@ def make_model(
     triangles=(),
     symmetries: tuple[Pose, ...] = (),
     symmetric_flag: bool = False,
+    diameter: float | None = None,
 ) -> ObjectModel:
-    """Build an ObjectModel, computing the diameter and inserting the identity symmetry."""
-    v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    if len(v) == 0:
-        raise EmptyModel("model has no vertices")
+    """Build an ObjectModel (see there for `diameter`), inserting the identity symmetry."""
     syms = tuple(symmetries)
     if not any(s.is_identity() for s in syms):
         syms = (Pose.identity(),) + syms
-    return ObjectModel(v, triangles, _pairwise_diameter(v), syms, symmetric_flag)
+    return ObjectModel(vertices, triangles, diameter, syms, symmetric_flag)
+
+
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Squared distances from each block of `_BLOCK_ROWS` rows of `a` to every row of `b`."""
+    for start in range(0, len(a), _BLOCK_ROWS):
+        diffs = a[start : start + _BLOCK_ROWS, None, :] - b[None, :, :]
+        np.multiply(diffs, diffs, out=diffs)
+        yield diffs.sum(axis=-1)
 
 
 def _pairwise_diameter(vertices: np.ndarray) -> float:
-    diffs = vertices[:, None, :] - vertices[None, :, :]
-    d2 = (diffs * diffs).sum(axis=-1)
-    return float(np.sqrt(d2.max()))
+    if len(vertices) == 0:
+        raise EmptyModel("model has no vertices")
+    return float(np.sqrt(np.max([d2.max() for d2 in _sq_distance_blocks(vertices, vertices)])))
 
 
 def transform_point(pose: Pose, x) -> np.ndarray:
@@ -181,8 +191,6 @@ def project_points(camera: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
 
 def model_diameter(model: ObjectModel) -> float:
     """Maximum pairwise vertex distance."""
-    if len(model.vertices) == 0:
-        raise EmptyModel("model has no vertices")
     return _pairwise_diameter(model.vertices)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter
-from .geom import CameraIntrinsics, ObjectModel, Pose, project_points
+from .geom import CameraIntrinsics, ObjectModel, Pose, _sq_distance_blocks, project_points
 from .raster import render_distance_map
 
 METRIC_KINDS = ("vsd", "mssd", "mspd", "add", "add-s")
@@ -34,8 +34,8 @@ def e_add_s(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
         raise EmptyModel("ADD-S needs at least one vertex")
     est = pose_est.transform(model.vertices)
     gt = pose_gt.transform(model.vertices)
-    d2 = ((est[:, None, :] - gt[None, :, :]) ** 2).sum(axis=-1)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    nearest = np.concatenate([d2.min(axis=1) for d2 in _sq_distance_blocks(est, gt)])
+    return float(np.sqrt(nearest).mean())
 
 
 def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt: Pose, image) -> float:

@@ -67,8 +67,12 @@ def _build_layer(entry: dict, weights: np.ndarray, where: str):
     name = _need(entry, "name", where)
     inputs = _need(entry, "inputs", where)
     config = entry.get("config", {})
+    refs = entry.get("params", {})
+    for key, value in (("config", config), ("params", refs)):
+        if not isinstance(value, dict):
+            raise SchemaViolation(f"{where}.{key}", "must be a JSON object")
     params = {}
-    for key, ref in entry.get("params", {}).items():
+    for key, ref in refs.items():
         off = int(_need(ref, "offset", f"{where}.params.{key}"))
         shape = tuple(int(d) for d in _need(ref, "shape", f"{where}.params.{key}"))
         size = int(np.prod(shape)) if shape else 1
@@ -76,14 +80,15 @@ def _build_layer(entry: dict, weights: np.ndarray, where: str):
             raise SchemaViolation(f"{where}.params.{key}", "offset/shape outside weights file")
         params[key] = weights[off : off + size].reshape(shape).astype(np.float32)
 
+    pw = f"{where}.params"
     if kind == "conv2d":
-        return Conv2D(name, inputs, params["weight"], params["bias"],
+        return Conv2D(name, inputs, _need(params, "weight", pw), _need(params, "bias", pw),
                       stride=int(config.get("stride", 1)), padding=int(config.get("padding", 0)))
     if kind == "groupnorm":
-        return GroupNorm(name, inputs, params["gamma"], params["beta"],
+        return GroupNorm(name, inputs, _need(params, "gamma", pw), _need(params, "beta", pw),
                          group_size=int(_need(config, "group_size", where)), eps=float(config.get("eps", 1e-5)))
     if kind == "dense":
-        return Dense(name, inputs, params["weight"], params["bias"])
+        return Dense(name, inputs, _need(params, "weight", pw), _need(params, "bias", pw))
     if kind == "concat":
         ranges = [tuple(r) if r is not None else None for r in config.get("ranges", [])]
         return ConcatChannels(name, inputs, ranges=ranges or None)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InconsistentPlan, InvalidConfig, TooAggressive
 from .net.graph import LayerGraph
 from .net.layers import ConcatChannels, Conv2D, Dense, Flatten, GroupNorm, ReLU, Upsample2xNearest
+from .net.toy import HEAD_GROUP, PNP_GROUP
 
 PLAN_FORMAT = "fastpose-prune-plan"
 PLAN_VERSION = 1
@@ -232,13 +233,25 @@ def apply_prune(graph: LayerGraph, plan: PrunePlan) -> LayerGraph:
             raise InconsistentPlan(f"{layer.name}: the graph output cannot be pruned")
 
     if "toy_config" in pruned.meta:
-        tc = dict(pruned.meta["toy_config"])
-        heads = [n for n in plan.removed if n.startswith("head.")]
-        pnps = [n for n in plan.removed if n.startswith("pnp.")]
-        if heads:
-            tc["d_head"] = tc.get("d_head", 0) + len(plan.removed[heads[0]]) // 8
-        if pnps:
-            tc["d_pnp"] = tc.get("d_pnp", 0) + len(plan.removed[pnps[0]]) // 4
-        pruned.meta["toy_config"] = tc
+        tc = _pruned_toy_config(graph, plan, pruned.meta["toy_config"])
+        if tc is None:
+            del pruned.meta["toy_config"]
+        else:
+            pruned.meta["toy_config"] = tc
     pruned.validate()
     return pruned
+
+
+def _pruned_toy_config(graph: LayerGraph, plan: PrunePlan, toy_config: dict) -> dict | None:
+    """The ToyConfig dict describing `graph` pruned by `plan`, or None when no
+    ToyConfig does: every prunable conv under a prefix must lose the same
+    number of groups, and nothing outside the head and regressor is pruned."""
+    if any(not name.startswith(("head.", "pnp.")) for name in plan.removed):
+        return None
+    tc = dict(toy_config)
+    for prefix, key, group in (("head.", "d_head", HEAD_GROUP), ("pnp.", "d_pnp", PNP_GROUP)):
+        lost = {len(plan.removed.get(conv.name, ())) // group for conv, _ in find_prunable(graph, (prefix,))}
+        if len(lost) > 1:
+            return None
+        tc[key] = tc.get(key, 0) + sum(lost)
+    return tc

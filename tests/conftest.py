@@ -4,8 +4,12 @@ Plain functions rather than fixtures so tests can call them with their own
 generators and keep every case seed-addressable.
 """
 
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from fastpose import geom
 from fastpose.geom import CameraIntrinsics, Pose, make_model
 from fastpose.net import (
     ConcatChannels,
@@ -56,6 +60,30 @@ def random_mesh(gen: np.random.Generator, max_vertices=10, max_triangles=8, span
         for _ in range(int(gen.integers(1, max_triangles + 1)))
     ])
     return make_model(verts, tris)
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes allocated (numpy buffers included) while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def diameter_calls(monkeypatch) -> list[int]:
+    """Vertex count of every geom._pairwise_diameter call made during the test."""
+    calls = []
+    original = geom._pairwise_diameter
+
+    def counting(vertices):
+        calls.append(len(vertices))
+        return original(vertices)
+
+    monkeypatch.setattr(geom, "_pairwise_diameter", counting)
+    return calls
 
 
 def small_camera(width=32, height=24, fx=45.0, fy=50.0) -> CameraIntrinsics:

@@ -229,6 +229,12 @@ class TestReadRunsCsv:
             read_runs_csv(self.write(tmp_path, "label,ar,latency_ms\nm,0.5\n"))
         assert "2" in str(exc.value)
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        text = "label,ar,latency_ms\n\nm,0.5,1\n\nm,high,1\n"
+        with pytest.raises(MalformedLine) as exc:
+            read_runs_csv(self.write(tmp_path, text))
+        assert exc.value.line_no == 5
+
     def test_non_numeric_value(self, tmp_path):
         with pytest.raises(MalformedLine):
             read_runs_csv(self.write(tmp_path, "label,ar,latency_ms\nm,high,1\n"))

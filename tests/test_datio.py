@@ -81,6 +81,13 @@ class TestResultCsvParsing:
         with pytest.raises(MalformedLine):
             parse_result_csv(result_file(tmp_path, HEADER, line))
 
+    @pytest.mark.parametrize("t", ["nan 20 30", "10 inf 30", "10 20 -inf"])
+    def test_non_finite_translation_rejected(self, tmp_path, t):
+        line = f"1,2,3,0.9,1 0 0 0 1 0 0 0 1,{t},0.05"
+        with pytest.raises(MalformedLine) as exc:
+            parse_result_csv(result_file(tmp_path, HEADER, IDENTITY_LINE, line))
+        assert exc.value.line_no == 3
+
     def test_unknown_time_sentinel_accepted(self, tmp_path):
         line = "1,2,3,0.9,1 0 0 0 1 0 0 0 1,10 20 30,-1"
         assert parse_result_csv(result_file(tmp_path, HEADER, line))[0].time_s == -1.0
@@ -395,11 +402,34 @@ class TestGroundTruthJson:
         with pytest.raises(SchemaViolation):
             parse_gt_json(gt_file(tmp_path, doc))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_diameter_rejected(self, tmp_path, bad):
+        doc = minimal_gt_doc()
+        doc["objects"]["7"]["diameter"] = bad
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.objects.7.diameter"
+
     def test_short_symmetry_rejected(self, tmp_path):
         doc = minimal_gt_doc()
         doc["objects"]["7"]["symmetries"] = [[1, 0, 0, 0, 1, 0, 0, 0, 1]]
         with pytest.raises(SchemaViolation):
             parse_gt_json(gt_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("place, path", [
+        ("instance", "$.instances[0].cam_t_m2c"),
+        ("symmetry", "$.objects.7.symmetries[0]"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_translation_rejected(self, tmp_path, place, path, bad):
+        doc = minimal_gt_doc()
+        if place == "instance":
+            doc["instances"][0]["cam_t_m2c"] = [0.0, bad, 1000.0]
+        else:
+            doc["objects"]["7"]["symmetries"] = [[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, bad]]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == path
 
     def test_non_orthonormal_symmetry_rejected(self, tmp_path):
         doc = minimal_gt_doc()
@@ -472,6 +502,21 @@ class TestMeshDiscovery:
         models = load_object_models(tmp_path, {1: ObjectMeta(diameter=1.7320508)})
         assert models[1].diameter == 1.7320508
         assert models[1].symmetries[0].is_identity()
+
+    def test_load_object_models_computes_each_diameter_once(self, tmp_path, diameter_calls):
+        (tmp_path / "obj_000001.ply").write_text(cube_ply())
+        (tmp_path / "obj_000002.ply").write_text(TRIANGLE_PLY)
+        load_object_models(tmp_path, {1: ObjectMeta(diameter=1.7320508), 2: ObjectMeta(symmetric=True)})
+        assert sorted(diameter_calls) == [3, 8]
+
+    def test_parse_ply_applies_metadata(self, tmp_path):
+        path = ply_file(tmp_path, cube_ply())
+        rot = np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float)
+        model = parse_ply(path, ObjectMeta(1.7320508, True, (Pose(rot, np.zeros(3)),)))
+        assert (model.diameter, model.symmetric_flag, len(model.symmetries)) == (1.7320508, True, 2)
+        with pytest.raises(SchemaViolation) as exc:
+            parse_ply(path, ObjectMeta(diameter=9.0), where="$.objects.3")
+        assert exc.value.path == "$.objects.3"
 
     def test_load_object_models_missing_mesh(self, tmp_path):
         (tmp_path / "obj_000001.ply").write_text(cube_ply())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_model, random_pose, random_rotation
+from conftest import peak_traced_bytes, random_model, random_pose, random_rotation
+from fastpose import geom
 from fastpose.errors import DegenerateInput, EmptyModel, InvalidRotation, NonPositiveDepth
 from fastpose.geom import (
     CameraIntrinsics,
@@ -133,12 +134,39 @@ class TestDiameter:
         with pytest.raises(EmptyModel):
             model_diameter(empty)
 
+    def test_matches_pairwise_scan_across_row_blocks(self):
+        gen = np.random.default_rng(17)
+        for n in (127, 128, 129, 300):
+            verts = gen.uniform(-30.0, 30.0, size=(n, 3))
+            assert model_diameter(make_model(verts)) == oracles.diameter_reference(verts)
+
+    def test_memory_grows_linearly_not_quadratically(self):
+        verts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(3000, 3))
+        assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < 64 * 2**20
+
 
 class TestObjectModel:
     def test_make_model_computes_diameter_and_identity(self):
         m = make_model(cube_vertices(2.0))
         assert abs(m.diameter - 2.0 * math.sqrt(3.0)) < 1e-12
         assert m.symmetries[0].is_identity()
+
+    def test_make_model_computes_the_diameter_once(self, diameter_calls):
+        make_model(cube_vertices(1.0))
+        assert diameter_calls == [8]
+
+    def test_none_diameter_is_computed(self):
+        m = ObjectModel(cube_vertices(1.0), np.zeros((0, 3), dtype=np.int64))
+        assert m.diameter == model_diameter(m)
+
+    def test_vertexless_model_needs_a_stated_zero_diameter(self):
+        no_verts, no_tris = np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+        with pytest.raises(EmptyModel):
+            ObjectModel(no_verts, no_tris)
+        with pytest.raises(EmptyModel):
+            make_model(no_verts)
+        with pytest.raises(ValueError):
+            ObjectModel(no_verts, no_tris, diameter=5.0)
 
     def test_stated_diameter_validated(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

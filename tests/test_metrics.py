@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_model, random_pose, small_camera
+from conftest import peak_traced_bytes, random_model, random_pose, small_camera
 from fastpose.datio import EstimateRecord, GroundTruthRecord
 from fastpose.errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter
 from fastpose.geom import CameraIntrinsics, Pose, make_model
@@ -132,6 +132,20 @@ class TestMetricOracleAgreement:
             assert e_add_s(m, a, b) == oracles.add_s_reference(m, a, b)
             assert e_mssd(m, a, b) == oracles.mssd_reference(m, a, b)
             assert e_mspd(m, a, b, cam) == oracles.mspd_reference(m, a, b, cam)
+
+    def test_add_s_matches_reference_across_row_blocks(self):
+        gen = np.random.default_rng(59)
+        for n in (129, 300):
+            m = make_model(gen.uniform(-30.0, 30.0, size=(n, 3)))
+            a = random_pose(gen, z_range=(600.0, 900.0))
+            b = random_pose(gen, z_range=(600.0, 900.0))
+            assert e_add_s(m, a, b) == oracles.add_s_reference(m, a, b)
+
+    def test_add_s_memory_grows_linearly_not_quadratically(self):
+        gen = np.random.default_rng(61)
+        m = make_model(gen.uniform(-50.0, 50.0, size=(3000, 3)))
+        a, b = random_pose(gen), random_pose(gen)
+        assert peak_traced_bytes(lambda: e_add_s(m, a, b)) < 64 * 2**20
 
 
 class TestVsd:

@@ -212,6 +212,15 @@ class TestApply:
         assert tc["d_pnp"] == 1
         ToyConfig.from_dict(tc)
 
+    @pytest.mark.parametrize("degrees", [
+        {"head.conv1": 1},
+        {"head.conv1": 1, "head.conv2": 1, "head.conv3": 2},
+        {"backbone.conv1": 1},
+    ], ids=["one-head-conv", "uneven-head", "backbone"])
+    def test_meta_config_dropped_when_no_toy_config_fits(self, degrees):
+        g = build_toy_gdrn(small_cfg(backbone_width=16, head_width=32))
+        assert "toy_config" not in apply_prune(g, plan_prune_layers(g, degrees)).meta
+
     def test_partial_group_rejected(self):
         g = build_toy_head(small_cfg())
         with pytest.raises(InconsistentPlan):

@@ -588,13 +588,18 @@ class TestModelIO:
         with pytest.raises(SchemaViolation):
             load_model(path)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d["layers"][0]["params"].update(weight=5),
-        lambda d: d["layers"].__setitem__(0, 5),
-    ], ids=["param-ref", "layer-entry"])
-    def test_non_object_entry_rejected(self, tmp_path, mutate):
-        with pytest.raises(SchemaViolation):
+    @pytest.mark.parametrize("mutate, path", [
+        (lambda d: d["layers"][0]["params"].update(weight=5), "$.layers[0].params.weight"),
+        (lambda d: d["layers"].__setitem__(0, 5), "$.layers[0]"),
+        (lambda d: d["layers"][0].update(params=[5]), "$.layers[0].params"),
+        (lambda d: d["layers"][0].update(config="stride"), "$.layers[0].config"),
+        (lambda d: d["layers"][1]["params"].pop("bias"), "$.layers[1].params"),
+        (lambda d: d["layers"][2]["params"].pop("gamma"), "$.layers[2].params"),
+    ], ids=["param-ref", "layer-entry", "params", "config", "conv-missing-bias", "norm-missing-gamma"])
+    def test_non_object_entry_rejected(self, tmp_path, mutate, path):
+        with pytest.raises(SchemaViolation) as exc:
             load_model(self.mutated(tmp_path, mutate))
+        assert exc.value.path == path
 
     def test_truncated_weights_rejected(self, tmp_path):
         save_model(self.small_graph(), tmp_path / "m.json")
