@@ -92,6 +92,8 @@ def parse_result_csv(path) -> list[EstimateRecord]:
             time = float(fields[6])
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from exc
+        if not (math.isfinite(score) and math.isfinite(time)):
+            raise MalformedLine(line_no, f"score and time must be finite, got {score} and {time}")
         if time < 0 and time != -1:
             raise MalformedLine(line_no, f"time must be >= 0 or -1 (unknown), got {time}")
         r = _floats(fields[4], 9, line_no, "R").reshape(3, 3)
@@ -111,6 +113,16 @@ def serialize_result_csv(records: list[EstimateRecord]) -> str:
 
 def write_result_csv(path, records: list[EstimateRecord]) -> None:
     Path(path).write_text(serialize_result_csv(records), encoding="utf-8")
+
+
+def _element_count(text: str, line_no: int) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise MalformedHeader(f"line {line_no}: element count must be a non-negative integer, got {text!r}")
+    return count
 
 
 def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> ObjectModel:
@@ -147,10 +159,10 @@ def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> Ob
             if len(parts) != 3:
                 raise MalformedHeader(f"line {i}: bad element declaration {line!r}")
             if parts[1] == "vertex":
-                n_vertices = int(parts[2])
+                n_vertices = _element_count(parts[2], i)
                 current = "vertex"
             elif parts[1] == "face":
-                n_faces = int(parts[2])
+                n_faces = _element_count(parts[2], i)
                 current = "face"
             else:
                 raise UnsupportedFormat(f"unsupported element {parts[1]!r}")

@@ -22,7 +22,7 @@ from .errors import (
 
 ROTATION_TOL = 1e-6
 DIAMETER_RTOL = 1e-6
-_BLOCK_ROWS = 128  # a distance block holds 24 * _BLOCK_ROWS * len(b) bytes of differences
+_BLOCK_ROWS = 128  # building a distance block holds 16 * _BLOCK_ROWS * len(b) bytes
 
 
 def _array(value, shape, name: str) -> np.ndarray:
@@ -154,11 +154,21 @@ def make_model(
 
 
 def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Squared distances from each block of `_BLOCK_ROWS` rows of `a` to every row of `b`."""
+    """Squared distances from each block of `_BLOCK_ROWS` rows of `a` to every
+    row of `b`, summed dx*dx + dy*dy + dz*dz from left to right."""
+    (ax, ay, az), (bx, by, bz) = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     for start in range(0, len(a), _BLOCK_ROWS):
-        diffs = a[start : start + _BLOCK_ROWS, None, :] - b[None, :, :]
-        np.multiply(diffs, diffs, out=diffs)
-        yield diffs.sum(axis=-1)
+        rows = slice(start, start + _BLOCK_ROWS)
+        d2 = np.subtract.outer(ax[rows], bx)
+        d2 *= d2
+        term = np.subtract.outer(ay[rows], by)
+        term *= term
+        d2 += term
+        np.subtract.outer(az[rows], bz, out=term)
+        term *= term
+        d2 += term
+        del term  # the caller's previous block is still alive while the next is built
+        yield d2
 
 
 def _pairwise_diameter(vertices: np.ndarray) -> float:

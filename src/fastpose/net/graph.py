@@ -68,11 +68,16 @@ class LayerGraph:
             raise ShapeMismatch(f"graph input must have shape {self.input_shape}, got {x.shape}")
         values = {GRAPH_INPUT: x}
         caches = {} if record else None
+        # without capture or record, an activation is dropped after its last consumer
+        last_use = {} if keep_values or record else {i: layer.name for layer in self.layers for i in layer.inputs}
         for layer in self.layers:
             y, cache = layer.forward([values[i] for i in layer.inputs])
             values[layer.name] = y
             if record:
                 caches[layer.name] = cache
+            for i in layer.inputs:
+                if last_use.get(i) == layer.name and i != self.output:
+                    values.pop(i, None)
         out = values[self.output]
         if not keep_values and not record:
             return out, None, None

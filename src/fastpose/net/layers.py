@@ -119,29 +119,30 @@ class Conv2D(Layer):
         view = np.lib.stride_tricks.as_strided(
             xp, shape=(c, k, k, hout, wout), strides=(s0, s1, s2, s1 * s, s2 * s), writeable=False
         )
-        return np.ascontiguousarray(view).reshape(c * k * k, hout * wout), (hout, wout), xp.shape
+        return np.ascontiguousarray(view).reshape(c * k * k, hout * wout), (hout, wout)
 
     def forward(self, xs):
         (x,) = xs
         _require(x.ndim == 3 and x.shape[0] == self.in_channels, f"{self.name}: bad input shape {x.shape}")
-        cols, (hout, wout), padded_shape = self._cols(x)
+        cols, (hout, wout) = self._cols(x)
         w2d = self.weight.reshape(self.out_channels, -1)
         y = (w2d @ cols + self.bias[:, None]).reshape(self.out_channels, hout, wout)
-        return y, (cols, x.shape, padded_shape)
+        return y, x
 
     def backward(self, gy, cache):
-        cols, x_shape, padded_shape = cache
+        x = cache
         out = self.out_channels
         g2d = gy.reshape(out, -1)
-        gw = (g2d @ cols.T).reshape(self.weight.shape)
+        # forward keeps x, not its k*k times larger columns: rebuild them, for gw only
+        gw = (g2d @ self._cols(x)[0].T).reshape(self.weight.shape)
         gb = g2d.sum(axis=1)
         gcols = self.weight.reshape(out, -1).T @ g2d  # (c*k*k, hout*wout)
 
-        c, h, w = x_shape
+        c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.padding
         hout, wout = gy.shape[1], gy.shape[2]
         gview = gcols.reshape(c, k, k, hout, wout)
-        gxp = np.zeros(padded_shape, dtype=gy.dtype)
+        gxp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=gy.dtype)
         for i in range(k):
             for j in range(k):
                 gxp[:, i : i + s * hout : s, j : j + s * wout : s] += gview[:, i, j]

@@ -8,7 +8,9 @@ the elementary one-step primitives (rigid transform, composition, pinhole
 projection, small-array mean): each is a handful of IEEE operations behind
 a name, and sharing them is what makes exact-match assertions meaningful.
 The correspondence, symmetry, matching, and reduction structure is always
-coded independently.
+coded independently. Two references instead keep the production arithmetic
+and change only the iteration, so results must match byte for byte: the
+one-triangle-at-a-time z-buffer and the interleaved squared-distance sum.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from fastpose.geom import CameraIntrinsics, ObjectModel, Pose, project_point
 from fastpose.net import GroupNorm
-from fastpose.raster import NEAR_MM
+from fastpose.raster import NEAR_MM, _clip_near
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,76 @@ def raycast(model: ObjectModel, pose: Pose, camera: CameraIntrinsics):
         closer = ok & ((depth == 0.0) | (t < depth))
         depth[closer] = t[closer]
     return depth, depth > 0
+
+
+def raster_loop(model: ObjectModel, pose: Pose, camera: CameraIntrinsics) -> np.ndarray:
+    """The z-buffer one triangle at a time: each triangle's bounding-box window
+    is overwritten where it is covered and nearer. Returns the depth map.
+
+    Per-pixel expressions (projection, edge functions, top-left rule, 1/z
+    interpolation) are the rasterizer's own, term for term, so the two agree
+    byte for byte; only the iteration differs (a Python loop over triangles
+    with a sequential depth test instead of chunked pixel arrays and an
+    order-free minimum). Near-plane clipping is shared.
+    """
+    zbuf = np.full((camera.height, camera.width), np.inf)
+    cam_pts = pose.transform(model.vertices) if len(model.vertices) else np.zeros((0, 3))
+    for tri_idx in model.triangles:
+        for tri in _clip_near(cam_pts[tri_idx], NEAR_MM):
+            _raster_one(tri, camera, zbuf)
+    return np.where(np.isfinite(zbuf), zbuf, 0.0)
+
+
+def _edge(ax, ay, bx, by, px, py):
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+
+
+def _raster_one(tri: np.ndarray, camera: CameraIntrinsics, zbuf: np.ndarray) -> None:
+    z = tri[:, 2]
+    px = camera.fx * tri[:, 0] / z + camera.cx
+    py = camera.fy * tri[:, 1] / z + camera.cy
+    area2 = _edge(px[0], py[0], px[1], py[1], px[2], py[2])
+    if area2 == 0.0:
+        return
+    if area2 < 0.0:
+        px, py, z = px[[0, 2, 1]], py[[0, 2, 1]], z[[0, 2, 1]]
+        area2 = -area2
+
+    h, w = zbuf.shape
+    x0 = max(int(np.ceil(px.min())), 0)
+    x1 = min(int(np.floor(px.max())), w - 1)
+    y0 = max(int(np.ceil(py.min())), 0)
+    y1 = min(int(np.floor(py.max())), h - 1)
+    if x0 > x1 or y0 > y1:
+        return
+
+    gx, gy = np.meshgrid(np.arange(x0, x1 + 1, dtype=np.float64), np.arange(y0, y1 + 1, dtype=np.float64))
+    w0 = _edge(px[1], py[1], px[2], py[2], gx, gy)
+    w1 = _edge(px[2], py[2], px[0], py[0], gx, gy)
+    w2 = _edge(px[0], py[0], px[1], py[1], gx, gy)
+
+    def owns(axi, ayi, bxi, byi):
+        dx, dy = bxi - axi, byi - ayi
+        return (dy == 0.0 and dx > 0.0) or dy < 0.0
+
+    cover = (
+        ((w0 > 0) | ((w0 == 0) & owns(px[1], py[1], px[2], py[2])))
+        & ((w1 > 0) | ((w1 == 0) & owns(px[2], py[2], px[0], py[0])))
+        & ((w2 > 0) | ((w2 == 0) & owns(px[0], py[0], px[1], py[1])))
+    )
+    inv_z = (w0 / area2) / z[0] + (w1 / area2) / z[1] + (w2 / area2) / z[2]
+    with np.errstate(divide="ignore"):
+        depth = 1.0 / inv_z
+    window = zbuf[y0 : y1 + 1, x0 : x1 + 1]
+    np.copyto(window, depth, where=cover & (depth < window))
+
+
+def sq_distances_interleaved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full (len(a), len(b)) squared-distance matrix from one (n, m, 3)
+    difference array reduced over its last axis."""
+    diffs = a[:, None, :] - b[None, :, :]
+    np.multiply(diffs, diffs, out=diffs)
+    return diffs.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,24 @@ class TestResultCsvParsing:
             parse_result_csv(result_file(tmp_path, HEADER, IDENTITY_LINE, line))
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [3, 6], ids=["score", "time"])
+    def test_non_finite_score_or_time_rejected(self, tmp_path, column, bad):
+        fields = IDENTITY_LINE.split(",")
+        fields[column] = bad
+        with pytest.raises(MalformedLine) as exc:
+            parse_result_csv(result_file(tmp_path, HEADER, IDENTITY_LINE, ",".join(fields)))
+        assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_score_duplicate_rejected_in_either_order(self, tmp_path, nan_first):
+        # a NaN score would make "highest score wins" depend on the row order
+        nan_line = IDENTITY_LINE.replace(",0.9,", ",nan,")
+        rows = [nan_line, IDENTITY_LINE] if nan_first else [IDENTITY_LINE, nan_line]
+        with pytest.raises(MalformedLine) as exc:
+            parse_result_csv(result_file(tmp_path, HEADER, *rows))
+        assert exc.value.line_no == (2 if nan_first else 3)
+
     def test_unknown_time_sentinel_accepted(self, tmp_path):
         line = "1,2,3,0.9,1 0 0 0 1 0 0 0 1,10 20 30,-1"
         assert parse_result_csv(result_file(tmp_path, HEADER, line))[0].time_s == -1.0
@@ -271,6 +289,15 @@ class TestPlyParsing:
         text = TRIANGLE_PLY.replace("format ascii 1.0\n", "")
         with pytest.raises(MalformedHeader):
             parse_ply(ply_file(tmp_path, text))
+
+    @pytest.mark.parametrize("old, new, line_no", [
+        ("element vertex 3", "element vertex abc", 3),
+        ("element vertex 3", "element vertex -3", 3),
+        ("element face 1", "element face 1.5", 7),
+    ], ids=["vertex-word", "vertex-negative", "face-fraction"])
+    def test_bad_element_count_rejected(self, tmp_path, old, new, line_no):
+        with pytest.raises(MalformedHeader, match=f"^line {line_no}: element count"):
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace(old, new)))
 
     def test_missing_z_property_rejected(self, tmp_path):
         text = TRIANGLE_PLY.replace("property float z\n", "")

@@ -144,6 +144,25 @@ class TestDiameter:
         verts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(3000, 3))
         assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < 64 * 2**20
 
+    def test_memory_is_two_blocks_and_a_term(self):
+        # a 128-row block of float64 is 1 KB per vertex: the caller's previous
+        # block, the one being built and one squared coordinate difference
+        verts = np.random.default_rng(5).uniform(-50.0, 50.0, size=(3000, 3))
+        assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < 3.5 * 1024 * len(verts)
+
+    def test_planar_kernel_matches_interleaved_expression(self):
+        gen = np.random.default_rng(19)
+        block_edges = (1, 2, 127, 128, 129, 255, 256, 257)
+        for case in range(320):
+            n = block_edges[case % len(block_edges)] if case % 2 else int(gen.integers(1, 400))
+            scale = 10.0 ** gen.uniform(-3.0, 3.0)
+            a = gen.standard_normal((n, 3)) * scale
+            b = gen.standard_normal((int(gen.integers(1, 300)), 3)) * scale
+            if case % 5 == 0:  # whole-number coordinates make exact ties
+                a, b = np.round(a), np.round(b)
+            got = np.concatenate(list(geom._sq_distance_blocks(a, b)))
+            assert got.tobytes() == oracles.sq_distances_interleaved(a, b).tobytes(), case
+
 
 class TestObjectModel:
     def test_make_model_computes_diameter_and_identity(self):

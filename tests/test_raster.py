@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_mesh, random_pose, small_camera
+from conftest import peak_traced_bytes, random_mesh, random_pose, small_camera
+from fastpose import raster
 from fastpose.geom import CameraIntrinsics, ObjectModel, Pose, make_model
 from fastpose.raster import NEAR_MM, DistanceMap, _clip_near, render_distance_map, write_pgm
 
@@ -144,6 +145,80 @@ class TestAgainstRayCasting:
         assert np.array_equal(got.visible, visible_ref)
         both = got.visible & visible_ref
         assert np.abs(got.depth[both] - depth_ref[both]).max() < 1e-3
+
+
+def random_scene(gen: np.random.Generator, kind: int):
+    """(model, pose, camera) for the loop comparison. kind 0: in front of the
+    camera; 1: vertices on both sides of the near plane; 2: degenerate
+    triangles (repeated or collinear vertices) mixed in; 3: mostly off-screen."""
+    cam = small_camera(width=int(gen.integers(1, 48)), height=int(gen.integers(1, 48)),
+                       fx=gen.uniform(15.0, 90.0), fy=gen.uniform(15.0, 90.0))
+    m = random_mesh(gen, max_vertices=14, max_triangles=24)
+    if kind == 1:
+        verts = m.vertices.copy()
+        verts[:, 2] = gen.uniform(-150.0, 250.0, len(verts))
+        return make_model(verts, m.triangles), IDENTITY, cam
+    if kind == 2:
+        n = len(m.vertices)
+        a, b = m.vertices[0], m.vertices[1]
+        verts = np.vstack([m.vertices, a + 0.5 * (b - a), a + 2.0 * (b - a)])
+        extra = [[0, 0, 1], [2, 2, 2], [0, 1, n], [n + 1, 1, 0]]
+        return make_model(verts, np.vstack([m.triangles, extra])), random_pose(gen, z_range=(250.0, 900.0)), cam
+    pose = random_pose(gen, z_range=(250.0, 900.0), xy_span=400.0 if kind == 3 else 20.0)
+    return m, pose, cam
+
+
+def screen_filling_grid(n: int, z=500.0) -> ObjectModel:
+    """A tilted n by n grid of quads wider than the 640x480 view of
+    `vga_camera` at depth z; each quad is split along both diagonals, so
+    4 * n * n triangles cover every pixel twice."""
+    xs, ys = np.meshgrid(np.linspace(-400.0, 400.0, n + 1), np.linspace(-300.0, 300.0, n + 1))
+    verts = np.stack([xs.ravel(), ys.ravel(), z + 0.2 * xs.ravel()], axis=1)
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    a, b, c, d = idx[:-1, :-1].ravel(), idx[:-1, 1:].ravel(), idx[1:, 1:].ravel(), idx[1:, :-1].ravel()
+    tris = np.concatenate([np.stack(corners, axis=1) for corners in ((a, b, c), (a, c, d), (a, b, d), (b, c, d))])
+    return ObjectModel(verts, tris)
+
+
+def vga_camera() -> CameraIntrinsics:
+    return CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, width=640, height=480)
+
+
+class TestAgainstTriangleLoop:
+    """Byte identity with the one-triangle-at-a-time z-buffer (oracles.raster_loop)."""
+
+    def test_random_scenes_match_byte_for_byte(self):
+        gen = np.random.default_rng(47)
+        for case in range(320):
+            m, pose, cam = random_scene(gen, case % 4)
+            got = render_distance_map(m, pose, cam)
+            assert got.depth.tobytes() == oracles.raster_loop(m, pose, cam).tobytes(), case
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, 1000])
+    def test_chunk_boundaries_do_not_change_depth(self, monkeypatch, chunk):
+        monkeypatch.setattr(raster, "_CHUNK_PX", chunk)
+        gen = np.random.default_rng(53 + chunk)
+        for case in range(8):
+            m, pose, cam = random_scene(gen, case % 4)
+            got = render_distance_map(m, pose, cam)
+            assert got.depth.tobytes() == oracles.raster_loop(m, pose, cam).tobytes(), case
+
+    def test_triangles_larger_than_a_chunk(self):
+        m = screen_filling_grid(1)
+        cam = vga_camera()
+        got = render_distance_map(m, IDENTITY, cam)
+        assert got.visible.all()
+        assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
+
+
+class TestMemory:
+    def test_40k_triangle_render_stays_bounded(self):
+        m = screen_filling_grid(100)
+        assert len(m.triangles) == 40_000
+        out = {}
+        peak = peak_traced_bytes(lambda: out.setdefault("map", render_distance_map(m, IDENTITY, vga_camera())))
+        assert out["map"].visible.all()
+        assert peak <= 48 * 2**20
 
 
 class TestNearClip:

@@ -34,7 +34,7 @@ from fastpose.net import (
 )
 
 import oracles
-from conftest import all_kinds_graph
+from conftest import all_kinds_graph, peak_traced_bytes
 
 
 def identity_conv(channels: int) -> np.ndarray:
@@ -430,6 +430,15 @@ class TestToyNetwork:
         assert g.output == "pnp.out"
         y = g.forward(np.zeros((3, 64, 64), np.float32))
         assert y.shape == (9,)
+
+    def test_default_config_memory(self):
+        # forward drops each activation after its last consumer; backward keeps
+        # conv inputs, not their k*k times larger im2col columns
+        g = build_toy_gdrn(ToyConfig())
+        x = np.random.default_rng(0).standard_normal(g.input_shape).astype(np.float32)
+        upstream = np.ones(g.output_shape, np.float32)
+        assert peak_traced_bytes(lambda: g.forward(x)) <= 56 * 2**20
+        assert peak_traced_bytes(lambda: g.backward(x, upstream)) <= 100 * 2**20
 
     def test_head_output_channel_layout(self):
         regions = 4
