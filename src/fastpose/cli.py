@@ -47,6 +47,12 @@ class UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_eval(args) -> int:
     records, objects = parse_gt_json(args.gt)
     models = load_object_models(args.models, objects)
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True, help="unpruned reference model")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write per-epoch mean loss CSV here")
     p.add_argument("--out", required=True)
@@ -243,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adapter", action="store_true", help="feature alignment through a 1x1-conv adapter")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write per-epoch mean loss CSV here")
     p.add_argument("--out", required=True)

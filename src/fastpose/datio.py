@@ -128,8 +128,8 @@ def _element_count(text: str, line_no: int) -> int:
 def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> ObjectModel:
     """ASCII PLY subset: vertex element with x/y/z, triangle faces only.
 
-    Returns an ObjectModel with `meta` applied as by apply_object_meta (no
-    meta: computed diameter, identity-only symmetries, symmetric_flag false).
+    Returns make_model's ObjectModel for `meta` (default: computed diameter,
+    identity symmetry only, not symmetric); a misfit is SchemaViolation at `where`.
     Extra scalar vertex properties are skipped by position; anything beyond
     the subset (binary encodings, list vertex properties, non-triangle
     faces) errors.
@@ -217,7 +217,11 @@ def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> Ob
         if min(idx) < 0 or max(idx) >= n_vertices:
             raise IndexOutOfRange(f"line {line_no}: vertex index outside 0..{n_vertices - 1}")
         triangles[f] = idx
-    return _model_with_meta(vertices, triangles, meta or ObjectMeta(), where)
+    meta = meta or ObjectMeta()
+    try:
+        return make_model(vertices, triangles, meta.symmetries, meta.symmetric, meta.diameter)
+    except ValueError as exc:
+        raise SchemaViolation(where, str(exc)) from exc
 
 
 def _need(obj, key, where, kind=None):
@@ -298,18 +302,6 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
         pose = _pose_from_lists(_need(inst, "cam_R_m2c", where), _need(inst, "cam_t_m2c", where), where)
         records.append(GroundTruthRecord(scene_id, im_id, obj_id, pose, camera))
     return records, objects
-
-
-def apply_object_meta(model: ObjectModel, meta: ObjectMeta, where: str = "object") -> ObjectModel:
-    """Overlay JSON metadata on a parsed mesh; identity symmetry added when absent."""
-    return _model_with_meta(model.vertices, model.triangles, meta, where)
-
-
-def _model_with_meta(vertices, triangles, meta: ObjectMeta, where: str) -> ObjectModel:
-    try:
-        return make_model(vertices, triangles, meta.symmetries, meta.symmetric, meta.diameter)
-    except ValueError as exc:
-        raise SchemaViolation(where, str(exc)) from exc
 
 
 def discover_meshes(directory) -> dict[int, Path]:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .errors import InvalidConfig, InvalidTemperature, LengthMismatch, ShapeMismatch
+from .errors import EmptyInput, InvalidConfig, InvalidTemperature, LengthMismatch, ShapeMismatch
 from .net.graph import LayerGraph, gradients_congruent
 from .net.layers import GRAPH_INPUT, Conv2D
 
@@ -191,14 +191,17 @@ def align_and_loss(student_feat: np.ndarray, teacher_feat: np.ndarray, adapter: 
     return loss, gfeat, gparams
 
 
+def _descend(layer, grads: dict, learning_rate: float) -> None:
+    for key, g in grads.items():
+        layer.set_param(key, layer.params()[key] - learning_rate * g)
+
+
 def sgd_step(graph: LayerGraph, grads: dict, learning_rate: float) -> None:
     """In-place w <- w - lr * g over every gradient entry."""
     if not gradients_congruent(graph, grads):
         raise ShapeMismatch("gradients are not congruent with the graph parameters")
     for name, by_key in grads.items():
-        layer = graph.layer(name)
-        for key, g in by_key.items():
-            layer.set_param(key, layer.params()[key] - learning_rate * g)
+        _descend(graph.layer(name), by_key, learning_rate)
 
 
 def make_input_sampler(shape: tuple, count: int, seed: int) -> list[np.ndarray]:
@@ -221,24 +224,27 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
 
     With an adapter the loss is feature alignment between the graph outputs
     treated as feature maps; without one it is the configured output loss.
-    The student (and adapter) are updated in place, one step per sample.
+    The student (and adapter) are updated in place, one step per sample, and
+    each step runs the student forward once. An empty input list is EmptyInput.
     """
+    if len(inputs) == 0:
+        raise EmptyInput("distillation needs at least one input sample")
     trace = []
     targets = [teacher.forward(x) for x in inputs]
     for _ in range(config.epochs):
         total = 0.0
         for x, target in zip(inputs, targets):
-            out = student.forward(x)
+            out, tape = student.forward(x, record=True)
             if adapter is not None:
                 loss, gout, adapter_grads = align_and_loss(out, target, adapter, config.normalization)
             else:
                 loss, gout = _output_loss(out, target, config)
                 adapter_grads = None
-            grads, _ = student.backward(x, gout)
+            grads, _ = student.backward(tape, gout)
+            del tape  # not held through the next step's forward
             sgd_step(student, grads, config.learning_rate)
             if adapter_grads:
-                for key, g in adapter_grads.items():
-                    adapter.conv.set_param(key, adapter.conv.params()[key] - config.learning_rate * g)
+                _descend(adapter.conv, adapter_grads, config.learning_rate)
             total += loss
         trace.append(total / len(inputs))
     return student, trace

@@ -177,11 +177,6 @@ def _pairwise_diameter(vertices: np.ndarray) -> float:
     return float(np.sqrt(np.max([d2.max() for d2 in _sq_distance_blocks(vertices, vertices)])))
 
 
-def transform_point(pose: Pose, x) -> np.ndarray:
-    """R @ x + t for a single 3-vector."""
-    return pose.rotation @ np.asarray(x, dtype=np.float64) + pose.translation
-
-
 def project_point(camera: CameraIntrinsics, x) -> np.ndarray:
     """Pinhole projection of a camera-space point with z > 0."""
     p = np.asarray(x, dtype=np.float64)
@@ -197,11 +192,6 @@ def project_points(camera: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     if np.any(z <= 0):
         raise NonPositiveDepth("at least one point has depth <= 0")
     return np.stack([camera.fx * pts[:, 0] / z + camera.cx, camera.fy * pts[:, 1] / z + camera.cy], axis=1)
-
-
-def model_diameter(model: ObjectModel) -> float:
-    """Maximum pairwise vertex distance."""
-    return _pairwise_diameter(model.vertices)
 
 
 def rot6d_to_matrix(v) -> np.ndarray:

@@ -3,7 +3,8 @@
 Tensors are plain numpy arrays, (channels, height, width) for feature maps
 and (length,) for flat vectors, float32 in production graphs. Gradients are
 nested dicts layer name -> parameter name -> array, congruent with the
-graph's parameters.
+graph's parameters. backward(tape, upstream) takes the tape that
+forward(x, record=True) returns with the output: one forward pass per step.
 """
 
 from .graph import FlopCounts, LayerGraph, count_flops, count_params, gradients_congruent, zero_gradients

@@ -2,7 +2,9 @@
 
 Layers are stored in topological order; producers are referenced by name,
 with "@input" denoting the graph input. A graph is mutable only during
-construction, pruning, and training steps; forward/backward never mutate it.
+construction, pruning, and training steps (validate() after each structural
+edit); forward/backward never mutate it. A training step runs forward once:
+backward(tape, upstream) consumes the tape of forward(x, record=True).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class LayerGraph:
         """Check names, topological order, and per-layer shape contracts."""
         self._by_name = {}
         shapes = {GRAPH_INPUT: self.input_shape}
+        last_use = {}  # activation -> the last layer that reads it, or itself
         for layer in self.layers:
             if layer.name in self._by_name or layer.name == GRAPH_INPUT:
                 raise ShapeMismatch(f"duplicate layer name {layer.name!r}")
@@ -39,9 +42,14 @@ class LayerGraph:
                 raise ShapeMismatch(f"{layer.name}: inputs {missing} undefined or out of topological order")
             shapes[layer.name] = layer.out_shape([shapes[i] for i in layer.inputs])
             self._by_name[layer.name] = layer
+            last_use.update(dict.fromkeys([layer.name, *layer.inputs], layer.name))
         if self.output not in shapes:
             raise ShapeMismatch(f"output layer {self.output!r} not in graph")
         self._shapes = shapes
+        self._drop_after = {layer.name: [] for layer in self.layers}  # what forward frees after it
+        for name, user in last_use.items():
+            if name != self.output:
+                self._drop_after[user].append(name)
 
     def layer(self, name: str) -> Layer:
         return self._by_name[name]
@@ -57,48 +65,42 @@ class LayerGraph:
     def consumers(self, name: str) -> list[Layer]:
         return [l for l in self.layers if name in l.inputs]
 
-    def forward(self, x: np.ndarray, capture: bool = False):
-        """Evaluate in topological order; optionally return all activations."""
-        y, values, _ = self._run(x, record=False, keep_values=capture)
-        return (y, values) if capture else y
-
-    def _run(self, x, record: bool, keep_values: bool = False):
+    def forward(self, x: np.ndarray, record: bool = False):
+        """Evaluate in topological order, dropping each activation after its last
+        consumer. With record=True return (output, tape) for backward: the tape
+        maps each layer (and "@input") to its cache and its activation's dtype."""
         x = np.asarray(x)
         if x.shape != self.input_shape:
             raise ShapeMismatch(f"graph input must have shape {self.input_shape}, got {x.shape}")
         values = {GRAPH_INPUT: x}
-        caches = {} if record else None
-        # without capture or record, an activation is dropped after its last consumer
-        last_use = {} if keep_values or record else {i: layer.name for layer in self.layers for i in layer.inputs}
+        tape = {GRAPH_INPUT: (None, x.dtype)}
         for layer in self.layers:
             y, cache = layer.forward([values[i] for i in layer.inputs])
             values[layer.name] = y
             if record:
-                caches[layer.name] = cache
-            for i in layer.inputs:
-                if last_use.get(i) == layer.name and i != self.output:
-                    values.pop(i, None)
+                tape[layer.name] = (cache, y.dtype)
+            for name in self._drop_after[layer.name]:
+                del values[name]
         out = values[self.output]
-        if not keep_values and not record:
-            return out, None, None
-        return out, values, caches
+        return (out, tape) if record else out
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray):
-        """Reverse-mode gradients of sum(upstream * output) w.r.t. all parameters.
+    def backward(self, tape: dict, upstream: np.ndarray):
+        """Reverse-mode gradients of sum(upstream * output) w.r.t. all parameters,
+        from the tape of forward(x, record=True).
 
         Returns (param_grads, input_grad). upstream must match the output shape.
         """
-        out, values, caches = self._run(x, record=True)
         upstream = np.asarray(upstream)
-        if upstream.shape != out.shape:
-            raise ShapeMismatch(f"upstream must have shape {out.shape}, got {upstream.shape}")
+        if upstream.shape != self.output_shape:
+            raise ShapeMismatch(f"upstream must have shape {self.output_shape}, got {upstream.shape}")
         gvalues = {self.output: upstream}
         param_grads: Gradients = {}
         for layer in reversed(self.layers):
+            cache, dtype = tape[layer.name]
             gy = gvalues.pop(layer.name, None)
-            if gy is None:
-                gy = np.zeros_like(values[layer.name])
-            gxs, gparams = layer.backward(gy, caches[layer.name])
+            if gy is None:  # the layer does not feed the output
+                gy = np.zeros(self.shape_of(layer.name), dtype)
+            gxs, gparams = layer.backward(gy, cache)
             if gparams:
                 param_grads[layer.name] = gparams
             for src, gx in zip(layer.inputs, gxs):
@@ -106,8 +108,9 @@ class LayerGraph:
                     gvalues[src] = gvalues[src] + gx
                 else:
                     gvalues[src] = gx
-        input_grad = gvalues.get(GRAPH_INPUT, np.zeros_like(values[GRAPH_INPUT]))
-        return param_grads, input_grad
+        if GRAPH_INPUT not in gvalues:  # the output does not depend on the input
+            return param_grads, np.zeros(self.input_shape, tape[GRAPH_INPUT][1])
+        return param_grads, gvalues[GRAPH_INPUT]
 
     def params(self) -> Gradients:
         return {l.name: l.params() for l in self.layers if l.params()}

@@ -5,6 +5,7 @@ generators and keep every case seed-addressable.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fastpose.net import (
     ReLU,
     Upsample2xNearest,
 )
+from fastpose.net.layers import LAYER_KINDS
 
 
 def random_rotation(gen: np.random.Generator) -> np.ndarray:
@@ -83,6 +85,20 @@ def diameter_calls(monkeypatch) -> list[int]:
         return original(vertices)
 
     monkeypatch.setattr(geom, "_pairwise_diameter", counting)
+    return calls
+
+
+@pytest.fixture
+def layer_forward_calls(monkeypatch) -> Counter:
+    """Number of forward calls per layer object made during the test."""
+    calls = Counter()
+    for cls in LAYER_KINDS.values():
+
+        def counting(self, xs, original=cls.forward):
+            calls[self] += 1
+            return original(self, xs)
+
+        monkeypatch.setattr(cls, "forward", counting)
     return calls
 
 

@@ -243,7 +243,7 @@ def test_04_gradients_match_finite_differences(capsys):
         gen = np.random.default_rng(9000 + seed)
         x = gen.standard_normal((2, 6, 6)).astype(np.float64)
         coef = gen.standard_normal(3).astype(np.float64)
-        grads, gx = g.backward(x, coef)
+        grads, gx = g.backward(g.forward(x, record=True)[1], coef)
 
         def loss():
             return float(np.dot(g.forward(x), coef))
@@ -433,9 +433,9 @@ def test_07_feature_alignment_beats_controls(capsys):
         noise_targets = [ngen.standard_normal(t.shape).astype(np.float32) for t in targets]
         for _ in range(epochs):
             for x, tgt in zip(inputs, noise_targets):
-                out = noisy.forward(x)
+                out, tape = noisy.forward(x, record=True)
                 _, gout, agrads = align_and_loss(out, tgt, noisy_adapter, "l2")
-                grads, _ = noisy.backward(x, gout)
+                grads, _ = noisy.backward(tape, gout)
                 sgd_step(noisy, grads, lr)
                 for key, gv in agrads.items():
                     noisy_adapter.conv.set_param(

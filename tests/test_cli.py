@@ -274,6 +274,17 @@ class TestFinetuneCommand:
         assert len(lines) == 3
         load_model(out)
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_a_usage_error(self, samples, tmp_path, capsys):
+        reference = build_model(tmp_path, "ref.json")
+        out = tmp_path / "tuned.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["finetune", "--model", str(reference), "--reference", str(reference),
+                  "--epochs", "1", "--samples", samples, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDistillCommand:
     def test_output_distillation(self, tmp_path, capsys):
@@ -315,6 +326,18 @@ class TestDistillCommand:
             "--out", str(tmp_path / "d.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_a_usage_error(self, samples, tmp_path, capsys):
+        teacher = build_model(tmp_path, "t.json", seed=1)
+        student = build_model(tmp_path, "s.json", seed=2)
+        out = tmp_path / "d.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["distill", "--teacher", str(teacher), "--student", str(student),
+                  "--loss", "mse", "--epochs", "1", "--samples", samples, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchCommand:

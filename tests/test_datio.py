@@ -10,7 +10,6 @@ import pytest
 from fastpose.datio import (
     EstimateRecord,
     ObjectMeta,
-    apply_object_meta,
     discover_meshes,
     load_object_models,
     parse_gt_json,
@@ -474,44 +473,44 @@ class TestGroundTruthJson:
 
 
 class TestApplyObjectMeta:
-    def model(self, tmp_path):
-        return parse_ply(ply_file(tmp_path, cube_ply()))
+    """gt.json object metadata, as parse_ply(path, meta) applies it."""
+
+    def model(self, tmp_path, meta):
+        return parse_ply(ply_file(tmp_path, cube_ply()), meta)
 
     def test_identity_prepended_when_missing(self, tmp_path):
         rot = np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float)
         meta = ObjectMeta(symmetries=(Pose(rot, np.zeros(3)),))
-        combined = apply_object_meta(self.model(tmp_path), meta)
+        combined = self.model(tmp_path, meta)
         assert len(combined.symmetries) == 2
         assert combined.symmetries[0].is_identity()
 
     def test_identity_not_duplicated(self, tmp_path):
         meta = ObjectMeta(symmetries=(Pose.identity(),))
-        combined = apply_object_meta(self.model(tmp_path), meta)
+        combined = self.model(tmp_path, meta)
         assert len(combined.symmetries) == 1
 
     def test_stated_diameter_within_tolerance_is_kept(self, tmp_path):
         # The metadata diameter is a cross-check against the mesh; an
         # agreeing value is recorded verbatim.
         stated = 1.7320508
-        combined = apply_object_meta(self.model(tmp_path), ObjectMeta(diameter=stated))
+        combined = self.model(tmp_path, ObjectMeta(diameter=stated))
         assert combined.diameter == stated
 
     def test_disagreeing_diameter_rejected(self, tmp_path):
         with pytest.raises(SchemaViolation):
-            apply_object_meta(self.model(tmp_path), ObjectMeta(diameter=9.0))
+            self.model(tmp_path, ObjectMeta(diameter=9.0))
 
     def test_computed_diameter_kept_without_override(self, tmp_path):
-        combined = apply_object_meta(self.model(tmp_path), ObjectMeta())
+        combined = self.model(tmp_path, ObjectMeta())
         assert abs(combined.diameter - math.sqrt(3.0)) < 1e-12
 
     def test_symmetric_flag_carried(self, tmp_path):
-        assert apply_object_meta(
-            self.model(tmp_path), ObjectMeta(symmetric=True)
-        ).symmetric_flag
+        assert self.model(tmp_path, ObjectMeta(symmetric=True)).symmetric_flag
 
     def test_invalid_override_becomes_schema_violation(self, tmp_path):
         with pytest.raises(SchemaViolation):
-            apply_object_meta(self.model(tmp_path), ObjectMeta(diameter=-1.0))
+            self.model(tmp_path, ObjectMeta(diameter=-1.0))
 
 
 class TestMeshDiscovery:

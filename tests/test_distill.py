@@ -21,13 +21,14 @@ from fastpose.distill import (
     write_trace_csv,
 )
 from fastpose.errors import (
+    EmptyInput,
     InvalidConfig,
     InvalidTemperature,
     LengthMismatch,
     ShapeMismatch,
     TooAggressive,
 )
-from fastpose.net import LayerGraph, ToyConfig, build_toy_gdrn, zero_gradients
+from fastpose.net import LayerGraph, ToyConfig, build_toy_backbone, build_toy_gdrn, zero_gradients
 from fastpose.net.layers import GRAPH_INPUT, Conv2D, Dense, Flatten
 from fastpose.prune import PruneConfig, apply_prune, plan_prune
 
@@ -268,9 +269,9 @@ class TestSgdStep:
         g = scalar_graph(0.0)
         x = np.ones((1, 1, 1), np.float64)
         for _ in range(100):
-            y = g.forward(x)
+            y, tape = g.forward(x, record=True)
             _, gout = mse_loss(y, np.array([3.0]))
-            grads, _ = g.backward(x, gout)
+            grads, _ = g.backward(tape, gout)
             sgd_step(g, grads, 0.4)
         assert abs(g.forward(x)[0] - 3.0) < 1e-3
         assert abs(g.layer("d").weight[0, 0] - 1.5) < 1e-3
@@ -356,6 +357,25 @@ class TestDistillTrain:
         _, trace = distill_train(teacher, student, adapter, cfg, inputs)
         assert trace[-1] < trace[0]
 
+    @pytest.mark.parametrize("with_adapter", [False, True])
+    def test_student_runs_forward_once_per_step(self, with_adapter, layer_forward_calls):
+        teacher = build_toy_backbone(ToyConfig(backbone_width=16, seed=1))
+        student = build_toy_backbone(ToyConfig(backbone_width=8 if with_adapter else 16, seed=2))
+        adapter = Adapter.create(8, 16, seed=3) if with_adapter else None
+        inputs = make_input_sampler(student.input_shape, 2, seed=4)
+        cfg = DistillConfig(loss_kind="mse", learning_rate=1e-3, epochs=3)
+        distill_train(teacher, student, adapter, cfg, inputs)
+        assert [layer_forward_calls[layer] for layer in student.layers] == [6] * len(student.layers)
+        assert [layer_forward_calls[layer] for layer in teacher.layers] == [2] * len(teacher.layers)
+        if adapter is not None:
+            assert layer_forward_calls[adapter.conv] == 6
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_empty_input_list_raises(self, epochs):
+        teacher, student = tiny_teacher_student(6)
+        with pytest.raises(EmptyInput):
+            distill_train(teacher, student, None, DistillConfig(loss_kind="mse", epochs=epochs), [])
+
 
 class TestFineTune:
     def small_cfg(self, **kw):
@@ -379,6 +399,19 @@ class TestFineTune:
         cfg = DistillConfig(learning_rate=1e-3, epochs=10)
         _, trace = fine_tune(pruned, reference, cfg, inputs)
         assert trace[-1] < trace[0]
+
+    def test_runs_each_student_layer_once_per_step(self, layer_forward_calls):
+        reference = build_toy_gdrn(self.small_cfg(seed=4))
+        pruned = apply_prune(reference, plan_prune(reference, PruneConfig(target="head", d_head=1)))
+        inputs = make_input_sampler((3, 64, 64), 3, seed=10)
+        fine_tune(pruned, reference, DistillConfig(learning_rate=1e-4, epochs=2), inputs)
+        assert [layer_forward_calls[layer] for layer in pruned.layers] == [6] * len(pruned.layers)
+        assert [layer_forward_calls[layer] for layer in reference.layers] == [3] * len(reference.layers)
+
+    def test_empty_input_list_raises(self):
+        reference = build_toy_gdrn(self.small_cfg(seed=5))
+        with pytest.raises(EmptyInput):
+            fine_tune(copy.deepcopy(reference), reference, DistillConfig(), [])
 
     def test_kl_config_is_overridden_to_mse(self):
         # fine_tune always regresses outputs, even if the config says KL.
