@@ -7,6 +7,7 @@ other number in a bench record (flops, params) is deterministic.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .errors import EmptyInput, InvalidConfig, MalformedLine, ShapeMismatch
+from .errors import EmptyInput, InvalidConfig, MalformedLine
 from .net.graph import LayerGraph, count_flops, count_params
 
 DEFAULT_ITERATIONS = 200
@@ -37,17 +38,13 @@ class LatencyRecord:
         return float(np.median(self.times_ms))
 
 
-def measure_latency(graph: LayerGraph, input_shape: tuple[int, ...] | None = None,
-                    iterations: int = DEFAULT_ITERATIONS, warmup: int = DEFAULT_WARMUP,
+def measure_latency(graph: LayerGraph, iterations: int = DEFAULT_ITERATIONS, warmup: int = DEFAULT_WARMUP,
                     label: str = "model", seed: int = 0) -> LatencyRecord:
     """Time single-input forward passes; returns per-iteration times in ms."""
     if iterations < 1:
         raise InvalidConfig("iterations must be >= 1")
     if warmup < 0:
         raise InvalidConfig("warmup must be >= 0")
-    if input_shape is not None and tuple(input_shape) != graph.input_shape:
-        raise ShapeMismatch(f"input shape {tuple(input_shape)} does not match "
-                            f"the graph's input {graph.input_shape}")
     x = rng.derive(seed, f"bench/{label}").standard_normal(graph.input_shape).astype(np.float32)
     for _ in range(warmup):
         graph.forward(x)
@@ -76,22 +73,22 @@ class ParetoRow:
     dominated: bool
 
 
-def pareto_report(entries: list[tuple[str, float, float]]) -> list[ParetoRow]:
-    """Mark dominated operating points; rows sorted by latency, ties by label.
-
-    An entry is dominated when some other entry has accuracy >= and latency
-    <= with at least one strict. Quadratic scan; entry counts are tiny.
-    """
-    if not entries:
+def _dominated(points: list[tuple[float, float]]) -> list[bool]:
+    """Per (accuracy, latency) point: does some point have accuracy >= and
+    latency <= with at least one strict? Compared by position, so duplicate
+    points stay distinct; a point never strictly beats itself. Quadratic
+    scan; point counts are tiny."""
+    if not points:
         raise EmptyInput("no operating points to report")
-    rows = []
-    for label, ar, lat in entries:
-        dominated = any(
-            (o_ar >= ar and o_lat <= lat) and (o_ar > ar or o_lat < lat)
-            for o_label, o_ar, o_lat in entries
-            if o_label != label or o_ar != ar or o_lat != lat
-        )
-        rows.append(ParetoRow(label=str(label), ar=float(ar), latency_ms=float(lat), dominated=dominated))
+    return [any(o_ar >= ar and o_lat <= lat and (o_ar > ar or o_lat < lat) for o_ar, o_lat in points)
+            for ar, lat in points]
+
+
+def pareto_report(entries: list[tuple[str, float, float]]) -> list[ParetoRow]:
+    """Mark dominated operating points; rows sorted by latency, ties by label."""
+    flags = _dominated([(ar, lat) for _, ar, lat in entries])
+    rows = [ParetoRow(label=str(label), ar=float(ar), latency_ms=float(lat), dominated=dominated)
+            for (label, ar, lat), dominated in zip(entries, flags)]
     return sorted(rows, key=lambda r: (r.latency_ms, r.label))
 
 
@@ -109,13 +106,11 @@ class RunRecord:
 
 def format_report_csv(runs: list[RunRecord]) -> str:
     """Combined report text; dominance is computed on median latency."""
-    rows = pareto_report([(r.label, r.ar, r.median_ms) for r in runs])
-    by_key = {(r.label, r.ar, r.median_ms): r for r in runs}
+    flags = _dominated([(r.ar, r.median_ms) for r in runs])
     lines = ["label,ar,mean_ms,median_ms,flops,params,dominated"]
-    for row in rows:
-        run = by_key[(row.label, row.ar, row.latency_ms)]
+    for run, dominated in sorted(zip(runs, flags), key=lambda pair: (pair[0].median_ms, pair[0].label)):
         lines.append(f"{run.label},{run.ar:.17g},{run.mean_ms:.17g},{run.median_ms:.17g},"
-                     f"{run.flops},{run.params},{'true' if row.dominated else 'false'}")
+                     f"{run.flops},{run.params},{'true' if dominated else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -151,18 +146,19 @@ def read_runs_csv(path) -> list[RunRecord]:
             return default
 
         try:
-            mean = grab(("mean_ms", "latency_ms", "median_ms"), float)
-            median = grab(("median_ms", "latency_ms", "mean_ms"), float)
-            entries.append(RunRecord(
+            run = RunRecord(
                 label=fields[cols["label"]],
                 ar=float(fields[cols["ar"]]),
-                mean_ms=mean,
-                median_ms=median,
+                mean_ms=grab(("mean_ms", "latency_ms", "median_ms"), float),
+                median_ms=grab(("median_ms", "latency_ms", "mean_ms"), float),
                 flops=grab(("flops",), int, 0),
                 params=grab(("params",), int, 0),
-            ))
+            )
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from exc
+        if not all(map(math.isfinite, (run.ar, run.mean_ms, run.median_ms))):
+            raise MalformedLine(line_no, "ar and latency must be finite")
+        entries.append(run)
     if not entries:
         raise EmptyInput(f"{path}: no data rows")
     return entries

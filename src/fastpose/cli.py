@@ -123,12 +123,11 @@ def _cmd_prune(args) -> int:
     return 0
 
 
-def _cmd_finetune(args) -> int:
-    student = load_model(args.model)
-    reference = load_model(args.reference)
-    config = DistillConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, loss_kind="mse")
+def _train(args, student, train, **summary) -> int:
+    """Train `student` in place on the seeded inputs, then save it, write the
+    trace and print the summary; `train(inputs)` returns (student, trace)."""
     inputs = make_input_sampler(student.input_shape, args.samples, args.seed)
-    _, trace = fine_tune(student, reference, config, inputs)
+    _, trace = train(inputs)
     save_model(student, args.out)
     if args.trace:
         write_trace_csv(args.trace, trace)
@@ -137,8 +136,16 @@ def _cmd_finetune(args) -> int:
         "epochs": len(trace),
         "first_loss": trace[0] if trace else None,
         "final_loss": trace[-1] if trace else None,
+        **summary,
     }))
     return 0
+
+
+def _cmd_finetune(args) -> int:
+    student = load_model(args.model)
+    reference = load_model(args.reference)
+    config = DistillConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, loss_kind="mse")
+    return _train(args, student, lambda inputs: fine_tune(student, reference, config, inputs))
 
 
 def _cmd_distill(args) -> int:
@@ -158,19 +165,8 @@ def _cmd_distill(args) -> int:
         if len(s_shape) != 3 or len(t_shape) != 3:
             raise UsageError("--adapter needs models whose outputs are feature maps")
         adapter = Adapter.create(s_shape[0], t_shape[0], seed=args.seed)
-    inputs = make_input_sampler(student.input_shape, args.samples, args.seed)
-    _, trace = distill_train(teacher, student, adapter, config, inputs)
-    save_model(student, args.out)
-    if args.trace:
-        write_trace_csv(args.trace, trace)
-    sys.stdout.write(_json_text({
-        "model": str(args.out),
-        "loss_kind": "feature-align" if adapter else config.loss_kind,
-        "epochs": len(trace),
-        "first_loss": trace[0] if trace else None,
-        "final_loss": trace[-1] if trace else None,
-    }))
-    return 0
+    return _train(args, student, lambda inputs: distill_train(teacher, student, adapter, config, inputs),
+                  loss_kind="feature-align" if adapter else config.loss_kind)
 
 
 def _cmd_bench(args) -> int:
@@ -197,6 +193,16 @@ def _cmd_report(args) -> int:
     else:
         sys.stdout.write(format_report_csv(runs))
     return 0
+
+
+def _training_args(p: argparse.ArgumentParser, func) -> None:
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--samples", type=_positive_int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trace", help="write per-epoch mean loss CSV here")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,13 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="regress a pruned model onto its reference")
     p.add_argument("--model", required=True, help="pruned model to tune (input)")
     p.add_argument("--reference", required=True, help="unpruned reference model")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", help="write per-epoch mean loss CSV here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_finetune)
+    _training_args(p, _cmd_finetune)
 
     p = sub.add_parser("distill", help="train a student model against a teacher")
     p.add_argument("--teacher", required=True)
@@ -247,13 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--squared-temperature", action="store_true",
                    help="scale the softened loss by temperature squared instead of temperature")
     p.add_argument("--adapter", action="store_true", help="feature alignment through a 1x1-conv adapter")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", help="write per-epoch mean loss CSV here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_distill)
+    _training_args(p, _cmd_distill)
 
     p = sub.add_parser("bench", help="time forward passes of a saved model")
     p.add_argument("--model", required=True)

@@ -119,20 +119,12 @@ class Adapter:
         bias = gen.uniform(-bound, bound, size=(out_channels,)).astype(np.float32)
         return cls(Conv2D("adapter", [GRAPH_INPUT], weight, bias))
 
-    @classmethod
-    def identity(cls, channels: int) -> "Adapter":
-        weight = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
-        return cls(Conv2D("adapter", [GRAPH_INPUT], weight, np.zeros(channels, np.float32)))
-
     def forward(self, feat: np.ndarray):
         return self.conv.forward([feat])
 
     def backward(self, gy: np.ndarray, cache):
         gxs, gparams = self.conv.backward(gy, cache)
         return gxs[0], gparams
-
-    def params(self):
-        return self.conv.params()
 
 
 def _normalize_l2(feat: np.ndarray):

@@ -44,9 +44,13 @@ def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt:
     if len(model.vertices) == 0:
         raise EmptyModel(f"{name} needs at least one vertex")
     est = image(pose_est.transform(model.vertices))
+    r, t = pose_gt.rotation, pose_gt.translation
     best = np.inf
     for sym in model.symmetries:
-        gt_sym = image(pose_gt.compose(sym).transform(model.vertices))
+        # Pose.compose's arithmetic without a Pose: the product of two accepted
+        # rotations may miss the 1e-6 orthonormality check by rounding
+        rot, trans = r @ sym.rotation, r @ sym.translation + t
+        gt_sym = image(model.vertices @ rot.T + trans)
         best = min(best, float(np.linalg.norm(est - gt_sym, axis=1).max()))
     return best
 

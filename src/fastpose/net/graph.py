@@ -136,10 +136,8 @@ class FlopCounts:
     total_elementwise: int
 
 
-def count_flops(graph: LayerGraph, input_shape: tuple | None = None) -> FlopCounts:
+def count_flops(graph: LayerGraph) -> FlopCounts:
     """Operation counts per layer and total for one forward pass."""
-    if input_shape is not None and tuple(input_shape) != graph.input_shape:
-        raise ShapeMismatch(f"graph expects input {graph.input_shape}, got {tuple(input_shape)}")
     per_layer = {}
     for layer in graph.layers:
         per_layer[layer.name] = layer.flops([graph.shape_of(i) for i in layer.inputs])

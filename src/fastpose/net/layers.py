@@ -18,16 +18,21 @@ GRAPH_INPUT = "@input"
 
 class Layer:
     kind = "base"
+    # attributes holding the learnable arrays, in the order the constructor
+    # takes them after (name, inputs); load_model relies on that order
+    param_names: tuple[str, ...] = ()
 
     def __init__(self, name: str, inputs):
         self.name = name
         self.inputs = list(inputs)
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {k: getattr(self, k) for k in self.param_names}
 
     def set_param(self, key: str, value: np.ndarray) -> None:
-        raise KeyError(f"{self.kind} has no parameter {key!r}")
+        if key not in self.param_names:
+            raise KeyError(f"{self.kind} has no parameter {key!r}")
+        setattr(self, key, value)
 
     def out_shape(self, in_shapes: list[tuple]) -> tuple:
         raise NotImplementedError
@@ -63,6 +68,7 @@ def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
 
 class Conv2D(Layer):
     kind = "conv2d"
+    param_names = ("weight", "bias")
 
     def __init__(self, name, inputs, weight, bias, stride=1, padding=0):
         super().__init__(name, inputs)
@@ -85,17 +91,6 @@ class Conv2D(Layer):
     @property
     def kernel(self):
         return self.weight.shape[2]
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def set_param(self, key, value):
-        if key == "weight":
-            self.weight = value
-        elif key == "bias":
-            self.bias = value
-        else:
-            raise KeyError(key)
 
     def out_shape(self, in_shapes):
         (c, h, w), = in_shapes
@@ -167,6 +162,7 @@ class GroupNorm(Layer):
     """Per-group normalization over (group channels, H, W) with channel affine."""
 
     kind = "groupnorm"
+    param_names = ("gamma", "beta")
 
     def __init__(self, name, inputs, gamma, beta, group_size, eps=1e-5):
         super().__init__(name, inputs)
@@ -180,17 +176,6 @@ class GroupNorm(Layer):
     @property
     def channels(self):
         return self.gamma.shape[0]
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def set_param(self, key, value):
-        if key == "gamma":
-            self.gamma = value
-        elif key == "beta":
-            self.beta = value
-        else:
-            raise KeyError(key)
 
     def out_shape(self, in_shapes):
         (shape,) = in_shapes
@@ -272,6 +257,7 @@ class Upsample2xNearest(Layer):
 
 class Dense(Layer):
     kind = "dense"
+    param_names = ("weight", "bias")
 
     def __init__(self, name, inputs, weight, bias):
         super().__init__(name, inputs)
@@ -287,17 +273,6 @@ class Dense(Layer):
     @property
     def in_dim(self):
         return self.weight.shape[1]
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def set_param(self, key, value):
-        if key == "weight":
-            self.weight = value
-        elif key == "bias":
-            self.bias = value
-        else:
-            raise KeyError(key)
 
     def out_shape(self, in_shapes):
         (shape,) = in_shapes

@@ -16,7 +16,7 @@ import numpy as np
 from ..datio import _need
 from ..errors import SchemaViolation, UnsupportedFormat
 from .graph import LayerGraph
-from .layers import LAYER_KINDS, ConcatChannels, Conv2D, Dense, GroupNorm
+from .layers import LAYER_KINDS, ConcatChannels, Conv2D, GroupNorm
 
 FORMAT_NAME = "fastpose-model"
 FORMAT_VERSION = 1
@@ -80,20 +80,19 @@ def _build_layer(entry: dict, weights: np.ndarray, where: str):
             raise SchemaViolation(f"{where}.params.{key}", "offset/shape outside weights file")
         params[key] = weights[off : off + size].reshape(shape).astype(np.float32)
 
-    pw = f"{where}.params"
+    cls = LAYER_KINDS[kind]
+    args = [_need(params, key, f"{where}.params") for key in cls.param_names]
     if kind == "conv2d":
-        return Conv2D(name, inputs, _need(params, "weight", pw), _need(params, "bias", pw),
+        return Conv2D(name, inputs, *args,
                       stride=int(config.get("stride", 1)), padding=int(config.get("padding", 0)))
     if kind == "groupnorm":
-        return GroupNorm(name, inputs, _need(params, "gamma", pw), _need(params, "beta", pw),
+        return GroupNorm(name, inputs, *args,
                          group_size=int(_need(config, "group_size", where)), eps=float(config.get("eps", 1e-5)))
-    if kind == "dense":
-        return Dense(name, inputs, _need(params, "weight", pw), _need(params, "bias", pw))
     if kind == "concat":
         ranges = [tuple(r) if r is not None else None for r in config.get("ranges", [])]
         return ConcatChannels(name, inputs, ranges=ranges or None)
-    # relu / upsample2x / flatten carry no parameters or config
-    return LAYER_KINDS[kind](name, inputs)
+    # dense / relu / upsample2x / flatten carry no config
+    return cls(name, inputs, *args)
 
 
 def load_model(path: str | Path) -> LayerGraph:

@@ -147,12 +147,12 @@ def float64_adapter(in_channels: int, out_channels: int, seed: int) -> Adapter:
     return Adapter(Conv2D("adapter", [GRAPH_INPUT], weight, bias))
 
 
-class TestAdapter:
-    def test_identity_passes_features_through(self):
-        feat = np.random.default_rng(4).standard_normal((3, 5, 5)).astype(np.float32)
-        out, _ = Adapter.identity(3).forward(feat)
-        np.testing.assert_allclose(out, feat, atol=1e-6)
+def identity_adapter(channels: int) -> Adapter:
+    weight = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
+    return Adapter(Conv2D("adapter", [GRAPH_INPUT], weight, np.zeros(channels, np.float32)))
 
+
+class TestAdapter:
     def test_create_shapes_and_determinism(self):
         a = Adapter.create(3, 8, seed=9)
         b = Adapter.create(3, 8, seed=9)
@@ -177,7 +177,7 @@ class TestAdapter:
 class TestAlignAndLoss:
     def test_matching_features_give_zero_loss(self):
         feat = np.random.default_rng(5).standard_normal((3, 4, 4)).astype(np.float32)
-        loss, gfeat, gparams = align_and_loss(feat, feat.copy(), Adapter.identity(3))
+        loss, gfeat, gparams = align_and_loss(feat, feat.copy(), identity_adapter(3))
         assert loss < 1e-10
         np.testing.assert_allclose(gfeat, 0.0, atol=1e-5)
         for g in gparams.values():
@@ -185,13 +185,13 @@ class TestAlignAndLoss:
 
     def test_l2_normalization_ignores_feature_scale(self):
         feat = np.random.default_rng(6).standard_normal((3, 4, 4)).astype(np.float32)
-        loss, _, _ = align_and_loss(2.5 * feat, feat, Adapter.identity(3), "l2")
+        loss, _, _ = align_and_loss(2.5 * feat, feat, identity_adapter(3), "l2")
         assert loss < 1e-10
 
     def test_channel_standardize_ignores_affine_shift(self):
         feat = np.random.default_rng(7).standard_normal((3, 6, 6)).astype(np.float32)
         loss, _, _ = align_and_loss(
-            3.0 * feat + 5.0, feat, Adapter.identity(3), "channel_standardize"
+            3.0 * feat + 5.0, feat, identity_adapter(3), "channel_standardize"
         )
         assert loss < 1e-6
 
@@ -199,12 +199,12 @@ class TestAlignAndLoss:
         student = np.zeros((2, 4, 4), np.float32)
         teacher = np.zeros((8, 4, 4), np.float32)
         with pytest.raises(ShapeMismatch):
-            align_and_loss(student, teacher, Adapter.identity(2))
+            align_and_loss(student, teacher, identity_adapter(2))
 
     def test_unknown_normalization_rejected(self):
         feat = np.zeros((2, 2, 2), np.float32)
         with pytest.raises(InvalidConfig):
-            align_and_loss(feat, feat, Adapter.identity(2), "max")
+            align_and_loss(feat, feat, identity_adapter(2), "max")
 
     @pytest.mark.parametrize("normalization", ["l2", "channel_standardize"])
     def test_gradients_match_central_differences(self, normalization):

@@ -99,6 +99,14 @@ class TestMssd:
         m = cube_model(1.0)
         assert abs(e_mssd(m, Pose(ROT_Z90, T), Pose(np.eye(3), T)) - 1.0) < 1e-12
 
+    def test_symmetry_product_outside_rotation_tolerance_is_scored(self):
+        # each rotation passes the 1e-6 check, their product misses it by rounding
+        sym = Pose(np.diag([-(1 + 4.9e-7), -1.0, 1.0]), np.zeros(3))
+        m = cube_model(20.0, symmetries=(sym,))
+        gt = Pose(np.diag([1 + 4.9e-7, 1.0, 1.0]), T)
+        assert e_mssd(m, gt, gt) == 0.0
+        assert e_mspd(m, gt, gt, small_camera()) == 0.0
+
 
 class TestMspd:
     def test_identical_poses(self):

@@ -34,6 +34,8 @@ from fastpose.net import (
     zero_gradients,
 )
 
+from fastpose.net.layers import LAYER_KINDS
+
 import oracles
 from conftest import all_kinds_graph, peak_traced_bytes
 
@@ -459,11 +461,21 @@ class TestFlopCounts:
         g = all_kinds_graph(7)
         assert count_flops(g).total_macs == oracles.graph_macs_reference(g)
 
-    def test_explicit_input_shape_must_match(self):
-        g = self.make_conv_graph(3)
-        assert count_flops(g, (2, 4, 4)).total_macs == 864
-        with pytest.raises(ShapeMismatch):
-            count_flops(g, (9, 9, 9))
+
+class TestParamProtocol:
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_params_are_the_declared_attributes_in_order(self, kind):
+        layer = next(l for l in all_kinds_graph(7).layers if l.kind == kind)
+        params = layer.params()
+        assert list(params) == list(LAYER_KINDS[kind].param_names)
+        assert all(params[k] is getattr(layer, k) for k in params)
+
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_set_param_rejects_an_undeclared_key(self, kind):
+        layer = next(l for l in all_kinds_graph(7).layers if l.kind == kind)
+        with pytest.raises(KeyError):
+            layer.set_param("scale", np.zeros(1))
+        assert not hasattr(layer, "scale")
 
 
 class TestParamCounts:
