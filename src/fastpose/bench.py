@@ -40,7 +40,10 @@ class LatencyRecord:
 
 def measure_latency(graph: LayerGraph, iterations: int = DEFAULT_ITERATIONS, warmup: int = DEFAULT_WARMUP,
                     label: str = "model", seed: int = 0) -> LatencyRecord:
-    """Time single-input forward passes; returns per-iteration times in ms."""
+    """Time single-input forward passes; returns per-iteration times in ms.
+    The label becomes one unquoted CSV field, so it may not hold ',' or a line break."""
+    if any(c in label for c in ",\r\n"):
+        raise InvalidConfig(f"label {label!r} must not contain ',' or a line break")
     if iterations < 1:
         raise InvalidConfig("iterations must be >= 1")
     if warmup < 0:
@@ -65,14 +68,6 @@ def write_latency_csv(path, records: list[LatencyRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class ParetoRow:
-    label: str
-    ar: float
-    latency_ms: float
-    dominated: bool
-
-
 def _dominated(points: list[tuple[float, float]]) -> list[bool]:
     """Per (accuracy, latency) point: does some point have accuracy >= and
     latency <= with at least one strict? Compared by position, so duplicate
@@ -82,14 +77,6 @@ def _dominated(points: list[tuple[float, float]]) -> list[bool]:
         raise EmptyInput("no operating points to report")
     return [any(o_ar >= ar and o_lat <= lat and (o_ar > ar or o_lat < lat) for o_ar, o_lat in points)
             for ar, lat in points]
-
-
-def pareto_report(entries: list[tuple[str, float, float]]) -> list[ParetoRow]:
-    """Mark dominated operating points; rows sorted by latency, ties by label."""
-    flags = _dominated([(ar, lat) for _, ar, lat in entries])
-    rows = [ParetoRow(label=str(label), ar=float(ar), latency_ms=float(lat), dominated=dominated)
-            for (label, ar, lat), dominated in zip(entries, flags)]
-    return sorted(rows, key=lambda r: (r.latency_ms, r.label))
 
 
 @dataclass(frozen=True)

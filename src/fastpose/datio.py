@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvalidRotation,
     MalformedHeader,
     MalformedLine,
     SchemaViolation,
     UnsupportedFormat,
 )
-from .geom import CameraIntrinsics, ObjectModel, Pose, make_model
+from .geom import CameraIntrinsics, ObjectModel, Pose, is_rotation, make_model
 
 RESULT_HEADER = "scene_id,im_id,obj_id,score,R,t,time"
 
@@ -55,12 +56,12 @@ class GroundTruthRecord:
 
 @dataclass(frozen=True)
 class ObjectMeta:
-    """Per-object overrides from the ground-truth JSON. A None diameter
-    means "use the mesh's computed diameter"."""
+    """Per-object overrides from the ground-truth JSON: a None diameter means
+    "use the mesh's computed diameter"; `symmetries` are the listed (S, 3, 4) rows."""
 
     diameter: float | None = None
     symmetric: bool = False
-    symmetries: tuple[Pose, ...] = field(default_factory=tuple)
+    symmetries: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 4)))
 
 
 def _floats(text: str, count: int, line_no: int, what: str) -> np.ndarray:
@@ -280,15 +281,20 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
                 raise SchemaViolation(f"{where}.diameter", "must be a positive finite number")
             diameter = float(diameter)
         symmetric = bool(entry.get("symmetric", False))
-        syms = []
-        for j, flat in enumerate(entry.get("symmetries", [])):
+        rows = entry.get("symmetries", [])
+        if not isinstance(rows, list):
+            raise SchemaViolation(f"{where}.symmetries", "must be a list of 3x4 rows")
+        for j, flat in enumerate(rows):
             if not (isinstance(flat, list) and len(flat) == 12):
                 raise SchemaViolation(f"{where}.symmetries[{j}]", "must be 12 numbers (3x4 row-major)")
-            m = np.array(flat, dtype=np.float64).reshape(3, 4)
-            if not np.all(np.isfinite(m)):
-                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be finite numbers")
-            syms.append(Pose(m[:, :3], m[:, 3]))
-        objects[obj_id] = ObjectMeta(diameter, symmetric, tuple(syms))
+        syms = np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
+        finite = np.isfinite(syms).all(axis=(1, 2))
+        if not finite.all():
+            raise SchemaViolation(f"{where}.symmetries[{np.argmin(finite)}]", "must be finite numbers")
+        valid = is_rotation(syms[:, :, :3])
+        if not valid.all():
+            raise InvalidRotation(f"{where}.symmetries[{np.argmin(valid)}]: R is not a rotation within 1e-6")
+        objects[obj_id] = ObjectMeta(diameter, symmetric, syms)
 
     records = []
     for i, inst in enumerate(instances):

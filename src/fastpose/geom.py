@@ -33,14 +33,14 @@ def _array(value, shape, name: str) -> np.ndarray:
     return arr
 
 
-def is_rotation(matrix: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    """True if `matrix` is orthonormal with determinant +1 within `tol`."""
+def is_rotation(matrix: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+    """Per 3x3 matrix of a (..., 3, 3) stack: finite, orthonormal and with
+    determinant +1 within `tol`."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        return False
-    if np.max(np.abs(m.T @ m - np.eye(3))) > tol:
-        return False
-    return abs(np.linalg.det(m) - 1.0) <= tol
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)  # keeps inf/nan out of matmul and det
+    ortho = np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)).max(axis=(-2, -1)) <= tol
+    return finite & ortho & (np.abs(np.linalg.det(m) - 1.0) <= tol)
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,6 @@ class Pose:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    def is_identity(self, tol: float = ROTATION_TOL) -> bool:
-        return (
-            np.max(np.abs(self.rotation - np.eye(3))) <= tol
-            and np.max(np.abs(self.translation)) <= tol
-        )
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -109,25 +103,32 @@ class ObjectModel:
     """Triangle mesh with diameter and a discrete symmetry set.
 
     A None diameter is computed (EmptyModel without vertices), a stated one
-    checked within DIAMETER_RTOL (a vertex-less mesh counts as diameter 0);
-    `symmetries` always contains the identity; `symmetric_flag` selects the
+    checked within DIAMETER_RTOL (a vertex-less mesh counts as diameter 0).
+    `symmetries` is a read-only (S, 3, 4) stack of finite [R | t] rows with
+    rotations R (else InvalidRotation), one of them the identity within
+    ROTATION_TOL (else ValueError). `symmetric_flag` selects the
     closest-point metric variant over the exact-correspondence one.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     diameter: float | None = None
-    symmetries: tuple[Pose, ...] = field(default=(Pose.identity(),))
+    symmetries: np.ndarray = field(default_factory=lambda: np.eye(3, 4))
     symmetric_flag: bool = False
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=np.float64).reshape(-1, 3)
         t = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
-        v.setflags(write=False)
-        t.setflags(write=False)
+        s = np.array(self.symmetries, dtype=np.float64).reshape(-1, 3, 4)
+        for arr in (v, t, s):
+            arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "symmetries", tuple(self.symmetries))
+        object.__setattr__(self, "symmetries", s)
+        if not (np.isfinite(s).all() and is_rotation(s[:, :, :3]).all()):
+            raise InvalidRotation("symmetries must be finite with rotations orthonormal with det +1 within 1e-6")
+        if not _has_identity(s):
+            raise ValueError("symmetry set must contain the identity")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise IndexOutOfRange("triangle index outside vertex range")
         d = _pairwise_diameter(v) if len(v) or self.diameter is None else 0.0
@@ -135,21 +136,24 @@ class ObjectModel:
             object.__setattr__(self, "diameter", d)
         elif abs(self.diameter - d) > DIAMETER_RTOL * max(d, 1.0):
             raise ValueError(f"stated diameter {self.diameter} != computed {d}")
-        if not any(s.is_identity() for s in self.symmetries):
-            raise ValueError("symmetry set must contain the identity")
+
+
+def _has_identity(symmetries: np.ndarray) -> bool:
+    return bool((np.abs(symmetries - np.eye(3, 4)) <= ROTATION_TOL).all(axis=(1, 2)).any())
 
 
 def make_model(
     vertices,
     triangles=(),
-    symmetries: tuple[Pose, ...] = (),
+    symmetries=(),
     symmetric_flag: bool = False,
     diameter: float | None = None,
 ) -> ObjectModel:
-    """Build an ObjectModel (see there for `diameter`), inserting the identity symmetry."""
-    syms = tuple(symmetries)
-    if not any(s.is_identity() for s in syms):
-        syms = (Pose.identity(),) + syms
+    """Build an ObjectModel (see there for `diameter`) from symmetry rows that
+    reshape to (-1, 3, 4), prepending the identity when it is missing."""
+    syms = np.asarray(symmetries, dtype=np.float64).reshape(-1, 3, 4)
+    if not _has_identity(syms):
+        syms = np.concatenate([np.eye(3, 4)[None], syms])
     return ObjectModel(vertices, triangles, diameter, syms, symmetric_flag)
 
 

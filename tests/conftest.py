@@ -41,15 +41,18 @@ def random_pose(gen: np.random.Generator, z_range=(200.0, 1500.0), xy_span=20.0)
     return Pose(random_rotation(gen), t)
 
 
+def random_symmetries(gen: np.random.Generator, k: int, shift=5.0) -> np.ndarray:
+    """(k, 3, 4) stack of random [R | t] rows, t uniform in [-shift, shift)."""
+    rows = [np.hstack([random_rotation(gen), gen.uniform(-shift, shift, (3, 1))]) for _ in range(k)]
+    return np.array(rows).reshape(k, 3, 4)
+
+
 def random_model(gen: np.random.Generator, max_vertices=12, max_symmetries=4, span=30.0):
     """Random point-cloud model; total symmetry count stays <= max_symmetries
     because make_model prepends the identity."""
     n = int(gen.integers(1, max_vertices + 1))
     verts = gen.uniform(-span, span, size=(n, 3))
-    extra = tuple(
-        Pose(random_rotation(gen), gen.uniform(-5.0, 5.0, 3))
-        for _ in range(int(gen.integers(0, max_symmetries)))
-    )
+    extra = random_symmetries(gen, int(gen.integers(0, max_symmetries)))
     return make_model(verts, symmetries=extra, symmetric_flag=bool(gen.integers(0, 2)))
 
 

@@ -226,8 +226,8 @@ def add_s_reference(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
 def mssd_reference(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
     est = pose_est.transform(model.vertices)
     best = math.inf
-    for sym in model.symmetries:
-        gt = pose_gt.compose(sym).transform(model.vertices)
+    for row in model.symmetries:
+        gt = pose_gt.compose(Pose(row[:, :3], row[:, 3])).transform(model.vertices)
         worst = 0.0
         for i in range(len(est)):
             dx = est[i][0] - gt[i][0]
@@ -246,8 +246,8 @@ def mspd_reference(model: ObjectModel, pose_est: Pose, pose_gt: Pose,
     est_cam = pose_est.transform(model.vertices)
     est = [project_point(camera, est_cam[i]) for i in range(len(est_cam))]
     best = math.inf
-    for sym in model.symmetries:
-        gt_cam = pose_gt.compose(sym).transform(model.vertices)
+    for row in model.symmetries:
+        gt_cam = pose_gt.compose(Pose(row[:, :3], row[:, 3])).transform(model.vertices)
         worst = 0.0
         for i in range(len(est)):
             g = project_point(camera, gt_cam[i])

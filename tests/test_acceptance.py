@@ -115,7 +115,7 @@ def test_01_pose_error_metrics_match_brute_force(capsys):
         failures.append("cube quarter-turn add != 2.0")
     if e_add_s(cube, turned, straight) != 0.0:
         failures.append("cube quarter-turn add-s != 0.0")
-    sym_cube = make_model(cube.vertices, symmetries=(Pose(ROT90_Z, np.zeros(3)),))
+    sym_cube = make_model(cube.vertices, symmetries=[np.c_[ROT90_Z, np.zeros(3)]])
     if e_mssd(sym_cube, turned, straight) != 0.0:
         failures.append("symmetry-aware mssd != 0.0")
     point = make_model([[0.0, 0.0, 0.0]])

@@ -13,7 +13,6 @@ from fastpose.bench import (
     RunRecord,
     format_report_csv,
     measure_latency,
-    pareto_report,
     read_runs_csv,
     write_latency_csv,
     write_report_csv,
@@ -57,6 +56,12 @@ class TestMeasureLatency:
         with pytest.raises(InvalidConfig):
             measure_latency(tiny_graph(), iterations=5, warmup=-1)
 
+    @pytest.mark.parametrize("label", ["pruned,d1", "two\nlines", "cr\r", ","])
+    def test_label_that_would_break_the_csv_row_rejected(self, label, layer_forward_calls):
+        with pytest.raises(InvalidConfig):
+            measure_latency(build_toy_head(ToyConfig(8, 16, 8, 4)), iterations=1, warmup=1, label=label)
+        assert not layer_forward_calls  # rejected before any forward pass is timed
+
 
 
 def dominated_reference(entries):
@@ -73,30 +78,36 @@ def dominated_reference(entries):
     return flags
 
 
+def pareto_rows(entries):
+    """format_report_csv on (label, ar, latency) entries, read back as
+    (label, ar, latency, dominated) rows in report order."""
+    runs = [RunRecord(label=label, ar=ar, mean_ms=lat, median_ms=lat) for label, ar, lat in entries]
+    rows = []
+    for line in format_report_csv(runs).splitlines()[1:]:
+        label, ar, _, median_ms, _, _, dominated = line.split(",")
+        rows.append((label, float(ar), float(median_ms), dominated == "true"))
+    return rows
+
+
 class TestParetoReport:
     def test_slower_and_less_accurate_is_dominated(self):
-        rows = pareto_report([("a", 0.8, 100.0), ("b", 0.7, 150.0)])
-        by_label = {r.label: r for r in rows}
-        assert not by_label["a"].dominated
-        assert by_label["b"].dominated
+        rows = pareto_rows([("a", 0.8, 100.0), ("b", 0.7, 150.0)])
+        assert {label: dominated for label, _, _, dominated in rows} == {"a": False, "b": True}
 
     def test_faster_but_less_accurate_is_kept(self):
-        rows = pareto_report([("a", 0.8, 100.0), ("c", 0.7, 50.0)])
-        assert not any(r.dominated for r in rows)
+        rows = pareto_rows([("a", 0.8, 100.0), ("c", 0.7, 50.0)])
+        assert not any(dominated for *_, dominated in rows)
 
     def test_single_row_is_non_dominated(self):
-        rows = pareto_report([("only", 0.5, 10.0)])
-        assert rows[0].dominated is False
+        assert pareto_rows([("only", 0.5, 10.0)]) == [("only", 0.5, 10.0, False)]
 
     def test_identical_points_do_not_dominate_each_other(self):
-        rows = pareto_report([("a", 0.5, 10.0), ("b", 0.5, 10.0)])
-        assert not any(r.dominated for r in rows)
+        rows = pareto_rows([("a", 0.5, 10.0), ("b", 0.5, 10.0)])
+        assert not any(dominated for *_, dominated in rows)
 
     def test_sorted_by_latency_then_label(self):
-        rows = pareto_report(
-            [("z", 0.5, 10.0), ("a", 0.6, 10.0), ("m", 0.7, 5.0)]
-        )
-        assert [(r.label, r.latency_ms) for r in rows] == [
+        rows = pareto_rows([("z", 0.5, 10.0), ("a", 0.6, 10.0), ("m", 0.7, 5.0)])
+        assert [(label, lat) for label, _, lat, _ in rows] == [
             ("m", 5.0),
             ("a", 10.0),
             ("z", 10.0),
@@ -111,12 +122,12 @@ class TestParetoReport:
                 for i in range(n)
             ]
             expected = dominated_reference(entries)
-            for row in pareto_report(entries):
-                assert row.dominated == expected[(row.label, row.ar, row.latency_ms)]
+            for label, ar, lat, dominated in pareto_rows(entries):
+                assert dominated == expected[(label, ar, lat)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
-            pareto_report([])
+            format_report_csv([])
 
 
 class TestFlopsAcrossPruneDegrees:

@@ -367,6 +367,15 @@ class TestBenchCommand:
         assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0"]) == 1
         assert "params.weight" in capsys.readouterr().err
 
+    def test_label_with_a_comma_is_a_data_error_and_writes_nothing(self, tmp_path, capsys):
+        model = build_model(tmp_path, "m.json", module="pnp")
+        capsys.readouterr()
+        out = tmp_path / "lat.csv"
+        assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0",
+                     "--label", "pruned,d1", "--out", str(out)]) == 1
+        assert "label" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_iteration_count_is_a_data_error(self, tmp_path, capsys):
         model = build_model(tmp_path, "m.json", module="pnp")
         capsys.readouterr()

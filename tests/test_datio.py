@@ -215,8 +215,7 @@ class TestPlyParsing:
         )
         np.testing.assert_array_equal(model.triangles, [[0, 1, 2]])
         assert model.diameter == pytest.approx(math.sqrt(2.0))
-        assert len(model.symmetries) == 1
-        assert model.symmetries[0].is_identity()
+        assert np.array_equal(model.symmetries, [np.eye(3, 4)])
         assert model.symmetric_flag is False
 
     def test_unit_cube_diameter(self, tmp_path):
@@ -346,7 +345,9 @@ class TestGroundTruthJson:
         assert (rec.camera.cx, rec.camera.cy) == (320.0, 240.0)
         assert (rec.camera.width, rec.camera.height) == (640, 480)
         np.testing.assert_array_equal(rec.pose.translation, [0, 0, 1000])
-        assert objects == {7: ObjectMeta()}
+        assert list(objects) == [7]
+        meta = objects[7]
+        assert (meta.diameter, meta.symmetric, meta.symmetries.shape) == (None, False, (0, 3, 4))
 
     def test_object_metadata_parsed(self, tmp_path):
         doc = minimal_gt_doc()
@@ -364,11 +365,11 @@ class TestGroundTruthJson:
         meta = objects[7]
         assert meta.diameter == 52.5
         assert meta.symmetric is True
-        assert len(meta.symmetries) == 1
+        assert meta.symmetries.shape == (1, 3, 4)
         np.testing.assert_array_equal(
-            meta.symmetries[0].rotation, np.array(rot_z180).reshape(3, 3)
+            meta.symmetries[0, :, :3], np.array(rot_z180).reshape(3, 3)
         )
-        np.testing.assert_array_equal(meta.symmetries[0].translation, [0, 0, 0])
+        np.testing.assert_array_equal(meta.symmetries[0, :, 3], [0, 0, 0])
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "gt.json"
@@ -465,6 +466,30 @@ class TestGroundTruthJson:
         with pytest.raises(InvalidRotation):
             parse_gt_json(gt_file(tmp_path, doc))
 
+    def test_invalid_rotation_names_the_first_bad_symmetry(self, tmp_path):
+        doc = minimal_gt_doc()
+        rot_z180 = [-1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, 1.0, 0]
+        skewed = [1.0, 0.1, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0]
+        doc["objects"]["7"]["symmetries"] = [rot_z180, skewed, skewed]
+        with pytest.raises(InvalidRotation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert str(exc.value).startswith("$.objects.7.symmetries[1]: ")
+
+    def test_first_non_finite_symmetry_is_named(self, tmp_path):
+        doc = minimal_gt_doc()
+        rot_z180 = [-1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, 1.0, 0]
+        doc["objects"]["7"]["symmetries"] = [rot_z180, rot_z180, [float("nan")] * 12, [2.0] * 12]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.objects.7.symmetries[2]"
+
+    def test_symmetries_must_be_a_list(self, tmp_path):
+        doc = minimal_gt_doc()
+        doc["objects"]["7"]["symmetries"] = {}
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.objects.7.symmetries"
+
     def test_bad_rotation_in_instance_rejected(self, tmp_path):
         doc = minimal_gt_doc()
         doc["instances"][0]["cam_R_m2c"] = [0] * 9
@@ -480,13 +505,13 @@ class TestApplyObjectMeta:
 
     def test_identity_prepended_when_missing(self, tmp_path):
         rot = np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float)
-        meta = ObjectMeta(symmetries=(Pose(rot, np.zeros(3)),))
+        meta = ObjectMeta(symmetries=np.hstack([rot, np.zeros((3, 1))])[None])
         combined = self.model(tmp_path, meta)
         assert len(combined.symmetries) == 2
-        assert combined.symmetries[0].is_identity()
+        assert np.array_equal(combined.symmetries[0], np.eye(3, 4))
 
     def test_identity_not_duplicated(self, tmp_path):
-        meta = ObjectMeta(symmetries=(Pose.identity(),))
+        meta = ObjectMeta(symmetries=np.eye(3, 4)[None])
         combined = self.model(tmp_path, meta)
         assert len(combined.symmetries) == 1
 
@@ -527,7 +552,7 @@ class TestMeshDiscovery:
         (tmp_path / "obj_000001.ply").write_text(cube_ply())
         models = load_object_models(tmp_path, {1: ObjectMeta(diameter=1.7320508)})
         assert models[1].diameter == 1.7320508
-        assert models[1].symmetries[0].is_identity()
+        assert np.array_equal(models[1].symmetries, [np.eye(3, 4)])
 
     def test_load_object_models_computes_each_diameter_once(self, tmp_path, diameter_calls):
         (tmp_path / "obj_000001.ply").write_text(cube_ply())
@@ -538,7 +563,7 @@ class TestMeshDiscovery:
     def test_parse_ply_applies_metadata(self, tmp_path):
         path = ply_file(tmp_path, cube_ply())
         rot = np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float)
-        model = parse_ply(path, ObjectMeta(1.7320508, True, (Pose(rot, np.zeros(3)),)))
+        model = parse_ply(path, ObjectMeta(1.7320508, True, np.hstack([rot, np.zeros((3, 1))])[None]))
         assert (model.diameter, model.symmetric_flag, len(model.symmetries)) == (1.7320508, True, 2)
         with pytest.raises(SchemaViolation) as exc:
             parse_ply(path, ObjectMeta(diameter=9.0), where="$.objects.3")

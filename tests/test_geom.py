@@ -32,7 +32,7 @@ def cube_vertices(side=1.0):
 class TestPose:
     def test_identity(self):
         p = Pose.identity()
-        assert p.is_identity()
+        assert np.array_equal(p.rotation, np.eye(3)) and np.array_equal(p.translation, np.zeros(3))
         x = np.array([1.0, -2.0, 3.0])
         assert np.array_equal(p.transform(x[None])[0], x)
 
@@ -75,6 +75,20 @@ class TestPose:
         assert is_rotation(ROT_Z90)
         assert not is_rotation(np.diag([1.0, 1.0, -1.0]))
         assert not is_rotation(np.ones((3, 3)))
+
+    def test_stacked_is_rotation_matches_per_matrix_calls(self):
+        gen = np.random.default_rng(29)
+        stack = np.stack([random_rotation(gen) for _ in range(12)])
+        stack[1] = np.diag([1.0, 1.0, -1.0])  # det -1
+        stack[2, 0, 1] = np.nan
+        stack[3, 2, 2] = np.inf
+        stack[4, 1, 0] = -np.inf
+        stack[5] *= 1.0 + 2e-6  # orthogonal rows, off by the norm
+        stack[6] = -stack[6]  # det -1 of a random rotation
+        got = is_rotation(stack.reshape(3, 4, 3, 3))  # any leading shape
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == [bool(is_rotation(m)) for m in stack]
+        assert got.ravel().tolist() == [True] + [False] * 6 + [True] * 5
 
 
 class TestProjection:
@@ -165,7 +179,8 @@ class TestObjectModel:
     def test_make_model_computes_diameter_and_identity(self):
         m = make_model(cube_vertices(2.0))
         assert abs(m.diameter - 2.0 * math.sqrt(3.0)) < 1e-12
-        assert m.symmetries[0].is_identity()
+        assert m.symmetries.shape == (1, 3, 4)
+        assert np.array_equal(m.symmetries[0], np.eye(3, 4))
 
     def test_make_model_computes_the_diameter_once(self, diameter_calls):
         make_model(cube_vertices(1.0))
@@ -193,6 +208,33 @@ class TestObjectModel:
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             ObjectModel(verts, np.zeros((0, 3), dtype=np.int64), diameter=1.0, symmetries=())
+        with pytest.raises(ValueError):
+            ObjectModel(verts, (), diameter=1.0, symmetries=np.hstack([ROT_Z90, np.zeros((3, 1))]))
+        near = np.eye(3, 4)
+        near[2, 3] = 1e-6  # within the identity tolerance
+        assert ObjectModel(verts, (), diameter=1.0, symmetries=near).symmetries.shape == (1, 3, 4)
+
+    def test_symmetries_are_one_read_only_stack(self):
+        rows = [np.hstack([ROT_Z90, [[1.0], [2.0], [3.0]]])]
+        m = make_model([[0.0, 0.0, 0.0]], symmetries=np.array(rows).reshape(12))
+        assert m.symmetries.dtype == np.float64 and m.symmetries.shape == (2, 3, 4)
+        assert np.array_equal(m.symmetries[1], rows[0])
+        with pytest.raises(ValueError):
+            m.symmetries[1, 0, 0] = 0.0
+        assert len(make_model([[0.0, 0.0, 0.0]], symmetries=[np.eye(3, 4)] + rows).symmetries) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 3)])
+    def test_non_finite_symmetry_rejected(self, bad, at):
+        row = np.hstack([ROT_Z90, np.zeros((3, 1))])
+        row[at] = bad
+        with pytest.raises(InvalidRotation):
+            make_model([[0.0, 0.0, 0.0]], symmetries=[row])
+
+    def test_reflection_symmetry_rejected(self):
+        row = np.hstack([np.diag([1.0, 1.0, -1.0]), np.zeros((3, 1))])
+        with pytest.raises(InvalidRotation):
+            make_model([[0.0, 0.0, 0.0]], symmetries=[row])
 
     def test_triangle_indices_validated(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import peak_traced_bytes, random_model, random_pose, small_camera
+from conftest import peak_traced_bytes, random_model, random_pose, random_symmetries, small_camera
+from fastpose import geom, metrics
 from fastpose.datio import EstimateRecord, GroundTruthRecord
 from fastpose.errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter
 from fastpose.geom import CameraIntrinsics, Pose, make_model
@@ -91,7 +92,7 @@ class TestMssd:
 
     def test_listed_symmetry_absorbed(self):
         sym = Pose(ROT_Z90, np.zeros(3))
-        m = cube_model(symmetries=(sym,))
+        m = cube_model(symmetries=[np.c_[ROT_Z90, np.zeros(3)]])
         gt = Pose(np.eye(3), T)
         assert e_mssd(m, gt.compose(sym), gt) < 1e-6
 
@@ -101,8 +102,7 @@ class TestMssd:
 
     def test_symmetry_product_outside_rotation_tolerance_is_scored(self):
         # each rotation passes the 1e-6 check, their product misses it by rounding
-        sym = Pose(np.diag([-(1 + 4.9e-7), -1.0, 1.0]), np.zeros(3))
-        m = cube_model(20.0, symmetries=(sym,))
+        m = cube_model(20.0, symmetries=[np.c_[np.diag([-(1 + 4.9e-7), -1.0, 1.0]), np.zeros(3)]])
         gt = Pose(np.diag([1 + 4.9e-7, 1.0, 1.0]), T)
         assert e_mssd(m, gt, gt) == 0.0
         assert e_mspd(m, gt, gt, small_camera()) == 0.0
@@ -123,7 +123,7 @@ class TestMspd:
 
     def test_listed_symmetry_absorbed(self):
         sym = Pose(ROT_Z90, np.zeros(3))
-        m = cube_model(20.0, symmetries=(sym,))
+        m = cube_model(20.0, symmetries=[np.c_[ROT_Z90, np.zeros(3)]])
         gt = Pose(np.eye(3), T)
         assert e_mspd(m, gt.compose(sym), gt, small_camera()) < 1e-6
 
@@ -148,6 +148,28 @@ class TestMetricOracleAgreement:
             a = random_pose(gen, z_range=(600.0, 900.0))
             b = random_pose(gen, z_range=(600.0, 900.0))
             assert e_add_s(m, a, b) == oracles.add_s_reference(m, a, b)
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 7, 5 * 7 + 3])
+    def test_symmetry_chunks_match_one_pass_and_oracle(self, monkeypatch, chunk):
+        gen = np.random.default_rng(67)
+        cam = small_camera()
+        m = make_model(gen.uniform(-30.0, 30.0, size=(7, 3)), symmetries=random_symmetries(gen, 9))
+        a = random_pose(gen, z_range=(600.0, 900.0))
+        b = random_pose(gen, z_range=(600.0, 900.0))
+        one_pass = e_mssd(m, a, b), e_mspd(m, a, b, cam)
+        monkeypatch.setattr(metrics, "_CHUNK_VERTICES", chunk)  # 10 symmetries in chunks of 1, 3 or 5
+        assert (e_mssd(m, a, b), e_mspd(m, a, b, cam)) == one_pass
+        assert one_pass == (oracles.mssd_reference(m, a, b), oracles.mspd_reference(m, a, b, cam))
+
+    def test_symmetry_scoring_memory_is_bounded_on_a_40k_vertex_mesh(self, monkeypatch):
+        monkeypatch.setattr(geom, "_pairwise_diameter", lambda v: 0.0)  # O(n^2), and not under test
+        gen = np.random.default_rng(71)
+        m = make_model(gen.uniform(-50.0, 50.0, size=(40_000, 3)), symmetries=random_symmetries(gen, 63))
+        a = random_pose(gen, z_range=(600.0, 900.0))
+        b = random_pose(gen, z_range=(600.0, 900.0))
+        assert len(m.symmetries) == 64
+        assert peak_traced_bytes(lambda: e_mssd(m, a, b)) < 16 * 2**20
+        assert peak_traced_bytes(lambda: e_mspd(m, a, b, small_camera())) < 16 * 2**20
 
     def test_add_s_memory_grows_linearly_not_quadratically(self):
         gen = np.random.default_rng(61)
