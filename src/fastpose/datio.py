@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -204,6 +205,9 @@ def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> Ob
             vertices[v] = [float(parts[xyz_cols[a]]) for a in "xyz"]
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from exc
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise MalformedLine(body_start + 1 + int(np.argmin(finite)), "vertex coordinates must be finite")
     triangles = np.zeros((n_faces or 0, 3), dtype=np.int64)
     for f in range(n_faces or 0):
         line_no = body_start + 1 + n_vertices + f
@@ -234,17 +238,26 @@ def _need(obj, key, where, kind=None):
     return val
 
 
+def _finite_number(value) -> bool:
+    """A JSON int or float that is finite as a float64; a bool is no number."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max  # exact int/float comparison, no overflow
+    return type(value) is float and math.isfinite(value)
+
+
 def _camera_from_k(cam_k, im_size, where) -> CameraIntrinsics:
-    if not isinstance(cam_k, list) or len(cam_k) != 9:
+    if not (isinstance(cam_k, list) and len(cam_k) == 9):
         raise SchemaViolation(where, "cam_K must be a list of 9 numbers")
+    if not all(_finite_number(v) for v in cam_k):
+        raise SchemaViolation(where, "cam_K entries must be finite numbers")
     k = [float(v) for v in cam_k]
     if k[1] != 0 or k[3] != 0 or k[6] != 0 or k[7] != 0 or k[8] != 1:
         raise SchemaViolation(where, "cam_K must be [fx, 0, cx, 0, fy, cy, 0, 0, 1]")
     if k[0] <= 0 or k[4] <= 0:
         raise SchemaViolation(where, "focal lengths must be positive")
-    if not (isinstance(im_size, list) and len(im_size) == 2):
-        raise SchemaViolation(where.rsplit(".", 1)[0] + ".im_size", "im_size must be [width, height]")
-    return CameraIntrinsics(fx=k[0], fy=k[4], cx=k[2], cy=k[5], width=int(im_size[0]), height=int(im_size[1]))
+    if not (isinstance(im_size, list) and len(im_size) == 2 and all(type(v) is int and v > 0 for v in im_size)):
+        raise SchemaViolation(where.rsplit(".", 1)[0] + ".im_size", "im_size must be [width, height], two positive integers")
+    return CameraIntrinsics(fx=k[0], fy=k[4], cx=k[2], cy=k[5], width=im_size[0], height=im_size[1])
 
 
 def _pose_from_lists(r_list, t_list, where) -> Pose:

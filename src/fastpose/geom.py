@@ -22,7 +22,7 @@ from .errors import (
 
 ROTATION_TOL = 1e-6
 DIAMETER_RTOL = 1e-6
-_BLOCK_ROWS = 128  # building a distance block holds 16 * _BLOCK_ROWS * len(b) bytes
+_BLOCK_ELEMS = 1 << 15  # distances per block: a 256 KiB block and its 256 KiB term stay in the L2 cache
 
 
 def _array(value, shape, name: str) -> np.ndarray:
@@ -102,8 +102,9 @@ class CameraIntrinsics:
 class ObjectModel:
     """Triangle mesh with diameter and a discrete symmetry set.
 
-    A None diameter is computed (EmptyModel without vertices), a stated one
-    checked within DIAMETER_RTOL (a vertex-less mesh counts as diameter 0).
+    Vertices must be finite (else ValueError). A None diameter is computed
+    (EmptyModel without vertices), a stated one checked within DIAMETER_RTOL
+    (a vertex-less mesh counts as diameter 0).
     `symmetries` is a read-only (S, 3, 4) stack of finite [R | t] rows with
     rotations R (else InvalidRotation), one of them the identity within
     ROTATION_TOL (else ValueError). `symmetric_flag` selects the
@@ -129,6 +130,8 @@ class ObjectModel:
             raise InvalidRotation("symmetries must be finite with rotations orthonormal with det +1 within 1e-6")
         if not _has_identity(s):
             raise ValueError("symmetry set must contain the identity")
+        if not np.isfinite(v).all():
+            raise ValueError("vertex coordinates must be finite")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise IndexOutOfRange("triangle index outside vertex range")
         d = _pairwise_diameter(v) if len(v) or self.diameter is None else 0.0
@@ -157,18 +160,21 @@ def make_model(
     return ObjectModel(vertices, triangles, diameter, syms, symmetric_flag)
 
 
-def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Squared distances from each block of `_BLOCK_ROWS` rows of `a` to every
-    row of `b`, summed dx*dx + dy*dy + dz*dz from left to right."""
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
+    """Squared distances from each block of max(1, _BLOCK_ELEMS // len(b))
+    rows of `a` to every row of `b`, summed dx*dx + dy*dy + dz*dz from left
+    to right. With `upper`, a block only reaches the rows of `b` from its own
+    first row on: for a == b, the upper triangle and the diagonal blocks."""
     (ax, ay, az), (bx, by, bz) = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    for start in range(0, len(a), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        d2 = np.subtract.outer(ax[rows], bx)
+    step = max(1, _BLOCK_ELEMS // len(b))
+    for start in range(0, len(a), step):
+        rows, cols = slice(start, start + step), slice(start if upper else 0, None)
+        d2 = np.subtract.outer(ax[rows], bx[cols])
         d2 *= d2
-        term = np.subtract.outer(ay[rows], by)
+        term = np.subtract.outer(ay[rows], by[cols])
         term *= term
         d2 += term
-        np.subtract.outer(az[rows], bz, out=term)
+        np.subtract.outer(az[rows], bz[cols], out=term)
         term *= term
         d2 += term
         del term  # the caller's previous block is still alive while the next is built
@@ -176,9 +182,11 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
 
 
 def _pairwise_diameter(vertices: np.ndarray) -> float:
+    """Largest vertex distance. (a-b)**2 == (b-a)**2 exactly, so the upper
+    triangle holds the maximum of the full matrix, bit for bit."""
     if len(vertices) == 0:
         raise EmptyModel("model has no vertices")
-    return float(np.sqrt(np.max([d2.max() for d2 in _sq_distance_blocks(vertices, vertices)])))
+    return float(np.sqrt(max(d2.max() for d2 in _sq_distance_blocks(vertices, vertices, upper=True))))
 
 
 def project_point(camera: CameraIntrinsics, x) -> np.ndarray:

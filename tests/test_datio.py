@@ -311,6 +311,13 @@ class TestPlyParsing:
         with pytest.raises(MalformedLine):
             parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("1 0 0", "one 0 0")))
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_vertex_rejected_with_its_line(self, tmp_path, coord):
+        with pytest.raises(MalformedLine) as exc:
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("1 0 0", f"1 {coord} 0")))
+        assert exc.value.line_no == 11
+        assert "finite" in exc.value.reason
+
 
 def minimal_gt_doc() -> dict:
     return {
@@ -404,6 +411,33 @@ class TestGroundTruthJson:
         doc["instances"][0]["cam_K"][0] = 0.0
         with pytest.raises(SchemaViolation):
             parse_gt_json(gt_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("index, entry", [
+        (2, float("nan")), (5, float("inf")), (0, float("-inf")), (0, "500"), (8, True), (2, None), (5, 10**400),
+    ])
+    def test_cam_k_entry_that_is_not_a_finite_number_rejected(self, tmp_path, index, entry):
+        doc = minimal_gt_doc()
+        doc["instances"][0]["cam_K"][index] = entry
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.instances[0].cam_K"
+
+    def test_integer_cam_k_entries_accepted(self, tmp_path):
+        doc = minimal_gt_doc()
+        doc["instances"][0]["cam_K"] = [500, 0, 320, 0, 550, 240, 0, 0, 1]
+        records, _ = parse_gt_json(gt_file(tmp_path, doc))
+        assert (records[0].camera.fx, records[0].camera.cx) == (500.0, 320.0)
+
+    @pytest.mark.parametrize("im_size", [
+        [0, 480], [640, -1], [640.5, 480], [640.0, 480], [640, "480"], [True, 480], [640, float("nan")],
+        [640], [640, 480, 3], "640x480",
+    ])
+    def test_im_size_that_is_not_two_positive_integers_rejected(self, tmp_path, im_size):
+        doc = minimal_gt_doc()
+        doc["instances"][0]["im_size"] = im_size
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.instances[0].im_size"
 
     def test_instance_without_object_entry_rejected(self, tmp_path):
         doc = minimal_gt_doc()

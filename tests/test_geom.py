@@ -19,6 +19,7 @@ from fastpose.geom import (
     project_points,
     rot6d_to_matrix,
 )
+from fastpose.metrics import e_add_s
 
 ROT_Z90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -156,10 +157,12 @@ class TestDiameter:
         assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < 64 * 2**20
 
     def test_memory_is_two_blocks_and_a_term(self):
-        # a 128-row block of float64 is 1 KB per vertex: the caller's previous
-        # block, the one being built and one squared coordinate difference
+        # a block holds _BLOCK_ELEMS float64 distances (256 KiB): the caller's
+        # previous block, the one being built and one squared coordinate
+        # difference, next to two 24-byte-per-vertex coordinate-plane copies
         verts = np.random.default_rng(5).uniform(-50.0, 50.0, size=(3000, 3))
-        assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < 3.5 * 1024 * len(verts)
+        bound = 3.5 * 8 * geom._BLOCK_ELEMS + 64 * len(verts)
+        assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < bound
 
     def test_planar_kernel_matches_interleaved_expression(self):
         gen = np.random.default_rng(19)
@@ -173,6 +176,55 @@ class TestDiameter:
                 a, b = np.round(a), np.round(b)
             got = np.concatenate(list(geom._sq_distance_blocks(a, b)))
             assert got.tobytes() == oracles.sq_distances_interleaved(a, b).tobytes(), case
+
+
+class TestBlockedKernel:
+    """_sq_distance_blocks, the diameter and ADD-S with _BLOCK_ELEMS shrunk so
+    that blocks hold one row, several rows, or end in a partial block."""
+
+    @pytest.mark.parametrize("per_vertex, extra", [(0, 1), (0, 7), (1, -1), (1, 0), (1, 1), (2, -1), (3, 1)],
+                             ids=["1", "7", "n-1", "n", "n+1", "2n-1", "3n+1"])
+    def test_block_sizes_match_the_oracles_bit_for_bit(self, monkeypatch, per_vertex, extra):
+        gen = np.random.default_rng(29)
+        for case in range(12):
+            n = int(gen.integers(1, 40))
+            if case % 3 == 0:  # whole-number coordinates on a small grid make exact ties
+                v = gen.integers(-3, 4, size=(n, 3)).astype(np.float64)
+            else:
+                v = gen.uniform(-30.0, 30.0, size=(n, 3))
+            w = gen.uniform(-30.0, 30.0, size=(int(gen.integers(1, 40)), 3))
+            monkeypatch.setattr(geom, "_BLOCK_ELEMS", per_vertex * n + extra)
+            m = make_model(v)
+            assert m.diameter == oracles.diameter_reference(v), case
+            a = random_pose(gen, z_range=(600.0, 900.0))
+            b = random_pose(gen, z_range=(600.0, 900.0))
+            assert e_add_s(m, a, b) == oracles.add_s_reference(m, a, b), case
+            full = np.concatenate(list(geom._sq_distance_blocks(v, w)))
+            assert full.tobytes() == oracles.sq_distances_interleaved(v, w).tobytes(), case
+            ref, start = oracles.sq_distances_interleaved(v, v), 0
+            for d2 in geom._sq_distance_blocks(v, v, upper=True):
+                assert d2.tobytes() == ref[start:start + len(d2), start:].tobytes(), case
+                start += len(d2)
+            assert start == n
+
+    def test_block_rows_follow_block_elems(self, monkeypatch):
+        v = np.arange(30.0).reshape(10, 3)
+        monkeypatch.setattr(geom, "_BLOCK_ELEMS", 25)  # 2 rows of 10 per block
+        assert [d2.shape for d2 in geom._sq_distance_blocks(v, v)] == [(2, 10)] * 5
+        assert [d2.shape for d2 in geom._sq_distance_blocks(v, v, upper=True)] == [(2, 10), (2, 8), (2, 6), (2, 4), (2, 2)]
+
+    def test_one_row_per_block_when_b_exceeds_the_block(self):
+        gen = np.random.default_rng(7)
+        a, b = gen.uniform(-50.0, 50.0, size=(4, 3)), gen.uniform(-50.0, 50.0, size=(geom._BLOCK_ELEMS + 5000, 3))
+        shapes = []
+
+        def scan():
+            for d2 in geom._sq_distance_blocks(a, b):
+                shapes.append(d2.shape)
+
+        # three one-row blocks alive at most, next to b's coordinate planes
+        assert peak_traced_bytes(scan) < 3.5 * 8 * len(b) + 32 * len(b)
+        assert shapes == [(1, len(b))] * len(a)
 
 
 class TestObjectModel:
@@ -189,6 +241,16 @@ class TestObjectModel:
     def test_none_diameter_is_computed(self):
         m = ObjectModel(cube_vertices(1.0), np.zeros((0, 3), dtype=np.int64))
         assert m.diameter == oracles.diameter_reference(m.vertices)
+
+    @pytest.mark.parametrize("coord", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected_before_the_diameter(self, diameter_calls, coord):
+        v = cube_vertices(1.0)
+        v[5, 1] = coord
+        with pytest.raises(ValueError, match="finite"):
+            make_model(v)
+        with pytest.raises(ValueError, match="finite"):
+            ObjectModel(v, np.zeros((0, 3), dtype=np.int64), diameter=1.0)
+        assert diameter_calls == []
 
     def test_vertexless_model_needs_a_stated_zero_diameter(self):
         no_verts, no_tris = np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
