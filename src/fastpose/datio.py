@@ -14,6 +14,7 @@ Three on-disk formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -233,7 +234,8 @@ def _need(obj, key, where, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaViolation(where, f"missing key {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # a JSON true/false parses to bool, an int subclass, and is none of the kinds asked for
+    if kind is not None and (not isinstance(val, kind) or type(val) is bool):
         raise SchemaViolation(f"{where}.{key}", f"expected {kind.__name__ if not isinstance(kind, tuple) else 'number'}")
     return val
 
@@ -243,6 +245,26 @@ def _finite_number(value) -> bool:
     if type(value) is int:
         return abs(value) <= sys.float_info.max  # exact int/float comparison, no overflow
     return type(value) is float and math.isfinite(value)
+
+
+def _symmetry_rows(rows: list, where: str) -> np.ndarray:
+    """(S, 3, 4) float64 array of JSON rows of 12 numbers, each finite as a
+    float64. The first bad row raises SchemaViolation at where[row]."""
+    try:  # one array pass over a valid table, which may hold hundreds of rows
+        if set(map(type, rows)) <= {list} and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            arr = np.array(rows, dtype=np.float64)
+            # NaN and inf fail the bound; so does an int that _finite_number
+            # rejects but that rounds to float64's max instead of overflowing
+            if arr.shape == (len(rows), 12) and (np.abs(arr) < sys.float_info.max).all():
+                return arr.reshape(-1, 3, 4)
+    except (OverflowError, ValueError):  # an int beyond float64's range; rows of unequal length
+        pass
+    for j, flat in enumerate(rows):
+        if not (isinstance(flat, list) and len(flat) == 12):
+            raise SchemaViolation(f"{where}[{j}]", "must be 12 numbers (3x4 row-major)")
+        if not all(map(_finite_number, flat)):
+            raise SchemaViolation(f"{where}[{j}]", "must be finite numbers")
+    return np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
 
 
 def _camera_from_k(cam_k, im_size, where) -> CameraIntrinsics:
@@ -265,10 +287,10 @@ def _pose_from_lists(r_list, t_list, where) -> Pose:
         raise SchemaViolation(f"{where}.cam_R_m2c", "must be a list of 9 numbers (row-major)")
     if not (isinstance(t_list, list) and len(t_list) == 3):
         raise SchemaViolation(f"{where}.cam_t_m2c", "must be a list of 3 numbers")
-    t = np.array(t_list, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise SchemaViolation(f"{where}.cam_t_m2c", "must be finite numbers")
-    return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), t)
+    for key, values in (("cam_R_m2c", r_list), ("cam_t_m2c", t_list)):
+        if not all(map(_finite_number, values)):
+            raise SchemaViolation(f"{where}.{key}", "must be finite numbers")
+    return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), np.array(t_list, dtype=np.float64))
 
 
 def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]:
@@ -290,20 +312,14 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
             raise SchemaViolation(where, "object entry must be a JSON object")
         diameter = entry.get("diameter")
         if diameter is not None:
-            if not isinstance(diameter, (int, float)) or not 0 < diameter < math.inf:
+            if not (_finite_number(diameter) and diameter > 0):
                 raise SchemaViolation(f"{where}.diameter", "must be a positive finite number")
             diameter = float(diameter)
         symmetric = bool(entry.get("symmetric", False))
         rows = entry.get("symmetries", [])
         if not isinstance(rows, list):
             raise SchemaViolation(f"{where}.symmetries", "must be a list of 3x4 rows")
-        for j, flat in enumerate(rows):
-            if not (isinstance(flat, list) and len(flat) == 12):
-                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be 12 numbers (3x4 row-major)")
-        syms = np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
-        finite = np.isfinite(syms).all(axis=(1, 2))
-        if not finite.all():
-            raise SchemaViolation(f"{where}.symmetries[{np.argmin(finite)}]", "must be finite numbers")
+        syms = _symmetry_rows(rows, f"{where}.symmetries")
         valid = is_rotation(syms[:, :, :3])
         if not valid.all():
             raise InvalidRotation(f"{where}.symmetries[{np.argmin(valid)}]: R is not a rotation within 1e-6")

@@ -5,16 +5,25 @@ with "@input" denoting the graph input. A graph is mutable only during
 construction, pruning, and training steps (validate() after each structural
 edit); forward/backward never mutate it. A training step runs forward once:
 backward(tape, upstream) consumes the tape of forward(x, record=True).
+
+validate() also plans how the graph runs. Each Upsample2xNearest read only
+by a 3x3, stride-1, padding-1 Conv2D is fused into it: forward and backward
+skip the upsample and call the conv with upsampled=True on the upsample's
+low-resolution input (see Conv2D), so the 4x larger upsampled map is never
+built. The pairing belongs to the graph, not to its layer objects, which
+other graphs may share; the declared layers, names, shapes, saved format
+and count_flops stay those of the unfused network.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .layers import GRAPH_INPUT, Layer
+from .layers import GRAPH_INPUT, Conv2D, Layer, Upsample2xNearest
 
 Gradients = dict  # layer name -> {param name -> ndarray}
 
@@ -30,10 +39,12 @@ class LayerGraph:
         self.validate()
 
     def validate(self) -> None:
-        """Check names, topological order, and per-layer shape contracts."""
+        """Check names, topological order, and per-layer shape contracts; plan
+        the run: upsample-conv fusion and when forward drops each activation."""
         self._by_name = {}
         shapes = {GRAPH_INPUT: self.input_shape}
         last_use = {}  # activation -> the last layer that reads it, or itself
+        readers = Counter()  # activation -> how many inputs name it
         for layer in self.layers:
             if layer.name in self._by_name or layer.name == GRAPH_INPUT:
                 raise ShapeMismatch(f"duplicate layer name {layer.name!r}")
@@ -43,9 +54,28 @@ class LayerGraph:
             shapes[layer.name] = layer.out_shape([shapes[i] for i in layer.inputs])
             self._by_name[layer.name] = layer
             last_use.update(dict.fromkeys([layer.name, *layer.inputs], layer.name))
+            readers.update(layer.inputs)
         if self.output not in shapes:
             raise ShapeMismatch(f"output layer {self.output!r} not in graph")
         self._shapes = shapes
+
+        position = {layer.name: i for i, layer in enumerate(self.layers)}
+        fused = {}  # conv name -> the upsample whose input it reads instead
+        for layer in self.layers:
+            up = self._by_name.get(layer.inputs[0]) if isinstance(layer, Conv2D) else None
+            if (isinstance(up, Upsample2xNearest) and readers[up.name] == 1 and up.name != self.output
+                    and (layer.kernel, layer.stride, layer.padding) == (3, 1, 1)):
+                fused[layer.name] = up
+                del last_use[up.name]  # never materialised
+                src = up.inputs[0]  # now read by the conv, after the upsample
+                last_use[src] = max(last_use[src], layer.name, key=position.__getitem__)
+        skipped = {up.name for up in fused.values()}
+        # (layer, the activations it reads, upsampled) in run order
+        self._steps = [
+            (layer, fused[layer.name].inputs, True) if layer.name in fused else (layer, layer.inputs, False)
+            for layer in self.layers
+            if layer.name not in skipped
+        ]
         self._drop_after = {layer.name: [] for layer in self.layers}  # what forward frees after it
         for name, user in last_use.items():
             if name != self.output:
@@ -68,14 +98,16 @@ class LayerGraph:
     def forward(self, x: np.ndarray, record: bool = False):
         """Evaluate in topological order, dropping each activation after its last
         consumer. With record=True return (output, tape) for backward: the tape
-        maps each layer (and "@input") to its cache and its activation's dtype."""
+        maps each layer that runs (and "@input") to its cache and its
+        activation's dtype; a fused upsample does not run and has no entry."""
         x = np.asarray(x)
         if x.shape != self.input_shape:
             raise ShapeMismatch(f"graph input must have shape {self.input_shape}, got {x.shape}")
         values = {GRAPH_INPUT: x}
         tape = {GRAPH_INPUT: (None, x.dtype)}
-        for layer in self.layers:
-            y, cache = layer.forward([values[i] for i in layer.inputs])
+        for layer, inputs, upsampled in self._steps:
+            xs = [values[i] for i in inputs]
+            y, cache = layer.forward(xs, upsampled=True) if upsampled else layer.forward(xs)
             values[layer.name] = y
             if record:
                 tape[layer.name] = (cache, y.dtype)
@@ -95,15 +127,15 @@ class LayerGraph:
             raise ShapeMismatch(f"upstream must have shape {self.output_shape}, got {upstream.shape}")
         gvalues = {self.output: upstream}
         param_grads: Gradients = {}
-        for layer in reversed(self.layers):
+        for layer, inputs, upsampled in reversed(self._steps):
             cache, dtype = tape[layer.name]
             gy = gvalues.pop(layer.name, None)
             if gy is None:  # the layer does not feed the output
                 gy = np.zeros(self.shape_of(layer.name), dtype)
-            gxs, gparams = layer.backward(gy, cache)
+            gxs, gparams = layer.backward(gy, cache, upsampled=True) if upsampled else layer.backward(gy, cache)
             if gparams:
                 param_grads[layer.name] = gparams
-            for src, gx in zip(layer.inputs, gxs):
+            for src, gx in zip(inputs, gxs):
                 if src in gvalues:
                     gvalues[src] = gvalues[src] + gx
                 else:

@@ -4,7 +4,14 @@ Each layer is a named node taking one or more producer outputs. forward()
 returns the output plus a cache that backward() consumes to produce input
 and parameter gradients. Arithmetic follows the input dtype (float32 in
 production graphs; tests may run graphs in float64), except group-norm
-statistics which always accumulate in float64.
+statistics, whose sums accumulate in float64; the normalise-and-affine body
+runs in the activation's dtype.
+
+Conv2D.forward/backward also take upsampled=True, which LayerGraph passes
+for a 3x3, stride-1, padding-1 conv whose input is a nearest 2x upsample
+read by nothing else: the conv then receives the upsample's low-resolution
+input and computes conv(upsample(x)) as four 2x2 sub-pixel convs, one per
+output phase, without materialising the upsample.
 """
 
 from __future__ import annotations
@@ -66,6 +73,54 @@ def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    if not p:
+        return x
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, p : p + h, p : p + w] = x
+    return xp
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
+    """(c*k*k, hout*wout) columns of the k x k windows of an already padded
+    (c, h, w) array (or a view of one) whose first window starts at [0, 0]."""
+    c = xp.shape[0]
+    s0, s1, s2 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, k, k, hout, wout), strides=(s0, s1, s2, s1 * stride, s2 * stride), writeable=False
+    )
+    return np.ascontiguousarray(view).reshape(c * k * k, hout * wout)
+
+
+def _col2im_add(gxp: np.ndarray, gcols: np.ndarray, k: int, stride: int, hout: int, wout: int) -> None:
+    """Scatter-add column gradients into the (view of the) padded input
+    gradient they were read from: the transpose of _im2col."""
+    gview = gcols.reshape(-1, k, k, hout, wout)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride] += gview[:, i, j]
+
+
+# Sub-pixel form of nearest 2x upsampling followed by a 3x3, padding-1 conv.
+# Output row 2p + a reads upsampled rows 2p + a - 1 .. 2p + a + 1, which are
+# low-resolution rows p - 1, p, p for phase a = 0 and p, p, p + 1 for a = 1.
+# So along one axis phase 0 applies the 2-tap kernel [w0, w1 + w2] and phase 1
+# [w0 + w1, w2], both to the low-resolution input padded by 1, from offset a.
+_AXIS_TAPS = ([[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]])  # [phase][2-tap][3-tap]
+# (9, 4) per phase (a, b), 3x3 tap (dy, dx) by 2x2 tap (ty, tx): the Kronecker
+# product of the two axes' tap sums, built in plain Python so that importing
+# the module runs no numpy kernel
+_PHASE_TAPS = {
+    (a, b): np.array(
+        [[ty[dy] * tx[dx] for ty in _AXIS_TAPS[a] for tx in _AXIS_TAPS[b]] for dy in range(3) for dx in range(3)],
+        dtype=np.float64,
+    )
+    for a in (0, 1)
+    for b in (0, 1)
+}
+
+
 class Conv2D(Layer):
     kind = "conv2d"
     param_names = ("weight", "bias")
@@ -101,48 +156,77 @@ class Conv2D(Layer):
         return (self.out_channels, hout, wout)
 
     def _cols(self, x):
-        c, h, w = x.shape
+        _, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.padding
-        if p:
-            xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            xp[:, p : p + h, p : p + w] = x
-        else:
-            xp = x
         hout = _conv_out(h, k, s, p)
         wout = _conv_out(w, k, s, p)
-        s0, s1, s2 = xp.strides
-        view = np.lib.stride_tricks.as_strided(
-            xp, shape=(c, k, k, hout, wout), strides=(s0, s1, s2, s1 * s, s2 * s), writeable=False
-        )
-        return np.ascontiguousarray(view).reshape(c * k * k, hout * wout), (hout, wout)
+        return _im2col(_pad(x, p), k, s, hout, wout), (hout, wout)
 
-    def forward(self, xs):
+    def _phases(self):
+        """(a, b, weight) per output phase of the sub-pixel form: the (out,
+        in*2*2) weight of the 2x2 conv that yields output rows 2p + a,
+        columns 2q + b. Rebuilt from the 3x3 weight on every call."""
+        _require(self.kernel == 3 and self.stride == 1 and self.padding == 1,
+                 f"{self.name}: only a 3x3, stride-1, padding-1 conv fuses with an upsample")
+        w9 = self.weight.reshape(-1, 9)
+        for (a, b), taps in _PHASE_TAPS.items():
+            yield a, b, (w9 @ taps.astype(w9.dtype)).reshape(self.out_channels, -1)
+
+    def forward(self, xs, upsampled=False):
+        """With upsampled=True, xs holds the low-resolution input of a nearest
+        2x upsample, and the output is this conv applied to its upsampling."""
         (x,) = xs
         _require(x.ndim == 3 and x.shape[0] == self.in_channels, f"{self.name}: bad input shape {x.shape}")
+        if upsampled:
+            return self._forward_upsampled(x), x
         cols, (hout, wout) = self._cols(x)
         w2d = self.weight.reshape(self.out_channels, -1)
         y = (w2d @ cols + self.bias[:, None]).reshape(self.out_channels, hout, wout)
         return y, x
 
-    def backward(self, gy, cache):
+    def _forward_upsampled(self, x):
+        out, (_, h, w) = self.out_channels, x.shape
+        xp = _pad(x, 1)
+        y = np.empty((out, h, 2, w, 2), dtype=np.result_type(self.weight, x, self.bias))
+        for a, b, wp in self._phases():
+            cols = _im2col(xp[:, a:, b:], 2, 1, h, w)
+            np.add((wp @ cols).reshape(out, h, w), self.bias[:, None, None], out=y[:, :, a, :, b])
+        return y.reshape(out, 2 * h, 2 * w)
+
+    def backward(self, gy, cache, upsampled=False):
+        """upsampled must match the forward call that made the cache; the input
+        gradient is then w.r.t. the low-resolution input."""
         x = cache
         out = self.out_channels
         g2d = gy.reshape(out, -1)
+        gb = g2d.sum(axis=1)
+        if upsampled:
+            gx, gw = self._backward_upsampled(gy, x)
+            return [gx], {"weight": gw, "bias": gb}
         # forward keeps x, not its k*k times larger columns: rebuild them, for gw only
         gw = (g2d @ self._cols(x)[0].T).reshape(self.weight.shape)
-        gb = g2d.sum(axis=1)
         gcols = self.weight.reshape(out, -1).T @ g2d  # (c*k*k, hout*wout)
 
         c, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
-        hout, wout = gy.shape[1], gy.shape[2]
-        gview = gcols.reshape(c, k, k, hout, wout)
+        p = self.padding
         gxp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=gy.dtype)
-        for i in range(k):
-            for j in range(k):
-                gxp[:, i : i + s * hout : s, j : j + s * wout : s] += gview[:, i, j]
+        _col2im_add(gxp, gcols, self.kernel, self.stride, gy.shape[1], gy.shape[2])
         gx = gxp[:, p : p + h, p : p + w] if p else gxp
         return [gx], {"weight": gw, "bias": gb}
+
+    def _backward_upsampled(self, gy, x):
+        out, (c, h, w) = self.out_channels, x.shape
+        xp = _pad(x, 1)
+        gy_phases = gy.reshape(out, h, 2, w, 2)
+        gw9 = np.zeros((out * c, 9), dtype=gy.dtype)
+        gxp = np.zeros((c, h + 2, w + 2), dtype=gy.dtype)
+        for a, b, wp in self._phases():
+            g2d = np.ascontiguousarray(gy_phases[:, :, a, :, b]).reshape(out, h * w)
+            cols = _im2col(xp[:, a:, b:], 2, 1, h, w)
+            # a phase weight is the 3x3 weight times the tap sums: the transpose maps its gradient back
+            gw9 += (g2d @ cols.T).reshape(out * c, 4) @ _PHASE_TAPS[a, b].T.astype(gw9.dtype)
+            _col2im_add(gxp[:, a:, b:], wp.T @ g2d, 2, 1, h, w)
+        return gxp[:, 1 : h + 1, 1 : w + 1], gw9.reshape(self.weight.shape)
 
     def flops(self, in_shapes):
         cout, hout, wout = self.out_shape(in_shapes)
@@ -187,25 +271,38 @@ class GroupNorm(Layer):
         _require(x.ndim == 3 and x.shape[0] == self.channels, f"{self.name}: bad input shape {x.shape}")
         c, h, w = x.shape
         groups = c // self.group_size
-        xg = x.reshape(groups, -1).astype(np.float64)
-        mu = xg.mean(axis=1, keepdims=True)
-        var = xg.var(axis=1, keepdims=True)
-        inv_s = 1.0 / np.sqrt(var + self.eps)
-        xhat = ((xg - mu) * inv_s).astype(x.dtype).reshape(c, h, w)
-        y = self.gamma[:, None, None] * xhat + self.beta[:, None, None]
-        return y, (xhat, inv_s.astype(x.dtype))
+        xg = x.reshape(groups, -1)
+        n = xg.shape[1]
+        # float64 sums, no float64 copy of x: centre on the rounded mean in
+        # x's dtype, then take the variance about the centred values' own mean
+        mu = xg.mean(axis=1, keepdims=True, dtype=np.float64)
+        xhat = xg - mu.astype(x.dtype)
+        shift = xhat.mean(axis=1, dtype=np.float64)
+        var = np.einsum("ij,ij->i", xhat, xhat, dtype=np.float64) / n - shift * shift
+        inv_s = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)[:, None]
+        xhat *= inv_s
+        xhat = xhat.reshape(c, h, w)
+        y = xhat * self.gamma[:, None, None]
+        y += self.beta[:, None, None]
+        return y, (xhat, inv_s)
 
     def backward(self, gy, cache):
         xhat, inv_s = cache
         c, h, w = gy.shape
         groups = c // self.group_size
+        n = self.group_size * h * w
         ggamma = (gy * xhat).sum(axis=(1, 2))
         gbeta = gy.sum(axis=(1, 2))
-        g = (gy * self.gamma[:, None, None]).reshape(groups, -1)
-        xh = xhat.reshape(groups, -1)
-        mean_g = g.mean(axis=1, keepdims=True)
-        mean_gx = (g * xh).mean(axis=1, keepdims=True)
-        gx = (inv_s * (g - mean_g - xh * mean_gx)).reshape(c, h, w).astype(gy.dtype)
+        # per group, the means of g = gamma * gy and of g * xhat, from the
+        # per-channel sums above; then gx = inv_s * (g - mean_g - xhat * mean_gx)
+        mean_g = (self.gamma * gbeta).reshape(groups, -1).sum(axis=1, keepdims=True) / n
+        mean_gx = (self.gamma * ggamma).reshape(groups, -1).sum(axis=1, keepdims=True) / n
+        scale = (inv_s * self.gamma.reshape(groups, -1)).reshape(c, 1, 1)
+        slope = np.repeat(inv_s * mean_gx, self.group_size).reshape(c, 1, 1)
+        offset = np.repeat(inv_s * mean_g, self.group_size).reshape(c, 1, 1)
+        gx = gy * scale
+        gx -= xhat * slope
+        gx -= offset
         return [gx], {"gamma": ggamma, "beta": gbeta}
 
     def flops(self, in_shapes):

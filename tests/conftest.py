@@ -97,9 +97,9 @@ def layer_forward_calls(monkeypatch) -> Counter:
     calls = Counter()
     for cls in LAYER_KINDS.values():
 
-        def counting(self, xs, original=cls.forward):
+        def counting(self, xs, *args, original=cls.forward, **kwargs):
             calls[self] += 1
-            return original(self, xs)
+            return original(self, xs, *args, **kwargs)
 
         monkeypatch.setattr(cls, "forward", counting)
     return calls

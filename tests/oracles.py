@@ -416,6 +416,44 @@ def gradcheck_rel_err(analytic: float, numeric: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Unfused network reference
+
+
+def unfused_run(graph, x, upstream=None):
+    """Run a graph's declared layers one at a time, never fusing: every
+    nearest 2x upsample is materialised with np.repeat (its gradient sums each
+    2x2 block) and every conv runs its plain forward/backward on that map.
+    Returns the output, or with upstream (output, param_grads, input_grad)."""
+    values = {"@input": x}
+    caches = {}
+    for layer in graph.layers:
+        xs = [values[i] for i in layer.inputs]
+        if layer.kind == "upsample2x":
+            values[layer.name] = np.repeat(np.repeat(xs[0], 2, axis=1), 2, axis=2)
+        else:
+            values[layer.name], caches[layer.name] = layer.forward(xs)
+    out = values[graph.output]
+    if upstream is None:
+        return out
+    grads = {graph.output: upstream}
+    param_grads = {}
+    for layer in reversed(graph.layers):
+        gy = grads.pop(layer.name, None)
+        if gy is None:
+            gy = np.zeros_like(values[layer.name])
+        if layer.kind == "upsample2x":
+            c, h2, w2 = gy.shape
+            gxs = [gy.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4))]
+        else:
+            gxs, gparams = layer.backward(gy, caches[layer.name])
+            if gparams:
+                param_grads[layer.name] = gparams
+        for src, gx in zip(layer.inputs, gxs):
+            grads[src] = grads[src] + gx if src in grads else gx
+    return out, param_grads, grads.get("@input", np.zeros_like(x))
+
+
+# ---------------------------------------------------------------------------
 # Independent end-to-end evaluation (matching + pooling + recall averaging)
 
 

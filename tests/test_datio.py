@@ -3,6 +3,7 @@ and object-table assembly."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -491,6 +492,67 @@ class TestGroundTruthJson:
         with pytest.raises(SchemaViolation) as exc:
             parse_gt_json(gt_file(tmp_path, doc))
         assert exc.value.path == path
+
+    @pytest.mark.parametrize("place, path", [
+        ("cam_R_m2c", "$.instances[0].cam_R_m2c"),
+        ("cam_t_m2c", "$.instances[0].cam_t_m2c"),
+        ("diameter", "$.objects.7.diameter"),
+        ("symmetries", "$.objects.7.symmetries[1]"),
+    ])
+    # 10**400 overflows a float64; the other rounds to float64's max without overflowing
+    @pytest.mark.parametrize("huge", [10**400, int(sys.float_info.max) + 2**969])
+    def test_integer_beyond_float64_range_rejected(self, tmp_path, place, path, huge):
+        doc = minimal_gt_doc()
+        if place == "diameter":
+            doc["objects"]["7"]["diameter"] = huge
+        elif place == "symmetries":
+            identity = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+            doc["objects"]["7"]["symmetries"] = [identity, identity[:11] + [huge]]
+        else:
+            doc["instances"][0][place][0] = huge
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == path
+
+    def test_string_in_rotation_rejected(self, tmp_path):
+        doc = minimal_gt_doc()
+        doc["instances"][0]["cam_R_m2c"][4] = "x"
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.instances[0].cam_R_m2c"
+
+    @pytest.mark.parametrize("entry", ["5", True])
+    def test_translation_entry_that_is_not_a_number_rejected(self, tmp_path, entry):
+        doc = minimal_gt_doc()
+        doc["instances"][0]["cam_t_m2c"][1] = entry
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.instances[0].cam_t_m2c"
+
+    def test_boolean_diameter_rejected(self, tmp_path):
+        doc = minimal_gt_doc()
+        doc["objects"]["7"]["diameter"] = True
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.objects.7.diameter"
+
+    @pytest.mark.parametrize("key", ["scene_id", "im_id", "obj_id"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_id_rejected(self, tmp_path, key, flag):
+        doc = minimal_gt_doc()
+        doc["objects"]["1"] = doc["objects"]["0"] = {}  # so a bool obj_id would find an entry
+        doc["instances"][0][key] = flag
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == f"$.instances[0].{key}"
+
+    def test_string_in_symmetry_names_its_row(self, tmp_path):
+        doc = minimal_gt_doc()
+        identity = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+        doc["objects"]["7"]["symmetries"] = [identity, identity, identity[:5] + ["1"] + identity[6:]]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.objects.7.symmetries[2]"
 
     def test_non_orthonormal_symmetry_rejected(self, tmp_path):
         doc = minimal_gt_doc()

@@ -35,6 +35,7 @@ from fastpose.net import (
 )
 
 from fastpose.net.layers import LAYER_KINDS
+from fastpose.prune import PruneConfig, apply_prune, plan_prune
 
 import oracles
 from conftest import all_kinds_graph, peak_traced_bytes
@@ -399,6 +400,137 @@ class TestGradCheck:
         for params in g.params().values():
             for arr in params.values():
                 assert arr.dtype == np.float64
+
+
+def upsample_conv(name, src, gen, cin, cout, dtype=np.float64, kernel=3, stride=1, padding=1):
+    """[Upsample2xNearest name.up <- src, Conv2D name <- name.up]."""
+    w = (0.5 * gen.standard_normal((cout, cin, kernel, kernel))).astype(dtype)
+    b = (0.5 * gen.standard_normal(cout)).astype(dtype)
+    return [Upsample2xNearest(f"{name}.up", [src]), Conv2D(name, [f"{name}.up"], w, b, stride, padding)]
+
+
+def assert_runs_like_unfused(g, x, upstream, rtol=0.0):
+    """Forward and backward of g against oracles.unfused_run: byte for byte
+    with rtol=0, else to rtol relative to each array's largest magnitude."""
+    (y, tape), (ref_y, ref_grads, ref_gx) = g.forward(x, record=True), oracles.unfused_run(g, x, upstream)
+    grads, gx = g.backward(tape, upstream)
+    pairs = [("output", y, ref_y), ("input grad", gx, ref_gx)]
+    assert grads.keys() == ref_grads.keys()
+    for name, by_key in ref_grads.items():
+        assert grads[name].keys() == by_key.keys()
+        pairs += [(f"{name}.{key}", grads[name][key], arr) for key, arr in by_key.items()]
+    for what, got, ref in pairs:
+        assert got.dtype == ref.dtype and got.shape == ref.shape, what
+        if rtol == 0.0:
+            assert got.tobytes() == ref.tobytes(), what
+        else:
+            assert np.abs(got - ref).max() <= rtol * np.abs(ref).max(), what
+
+
+class TestUpsampleConvFusion:
+    """A nearest 2x upsample read only by a 3x3, stride-1, padding-1 conv runs
+    as four 2x2 sub-pixel convs on the low-resolution input."""
+
+    def chained(self, seed, cin, cout, h, w):
+        # up -> conv -> GroupNorm -> ReLU -> up -> conv -> dense: two fused pairs, the first on the graph input
+        gen = np.random.default_rng(seed)
+        layers = upsample_conv("conv1", "@input", gen, cin, 4)
+        layers += [
+            GroupNorm("gn1", ["conv1"], 1.0 + 0.1 * gen.standard_normal(4), 0.1 * gen.standard_normal(4), group_size=2),
+            ReLU("relu1", ["gn1"]),
+        ]
+        layers += upsample_conv("conv2", "relu1", gen, 4, cout)
+        layers += [
+            Flatten("flat", ["conv2"]),
+            Dense("dense", ["flat"], 0.5 * gen.standard_normal((3, cout * 16 * h * w)), gen.standard_normal(3)),
+        ]
+        return LayerGraph((cin, h, w), layers)
+
+    @pytest.mark.parametrize("cin, cout, h, w", [(3, 5, 2, 3), (2, 4, 1, 1), (5, 2, 3, 1)])
+    def test_float64_gradients_match_central_differences_and_the_unfused_oracle(
+        self, layer_forward_calls, cin, cout, h, w
+    ):
+        g = self.chained(100 + h, cin, cout, h, w)
+        gen = np.random.default_rng(200 + h)
+        x = gen.standard_normal((cin, h, w))
+        coef = gen.standard_normal(3)
+        grads, gx = g.backward(g.forward(x, record=True)[1], coef)
+        assert layer_forward_calls[g.layer("conv1.up")] == layer_forward_calls[g.layer("conv2.up")] == 0
+
+        def loss():
+            return float(np.dot(g.forward(x), coef))
+
+        worst = 0.0
+        for layer in g.layers:
+            for key, arr in layer.params().items():
+                for flat in gen.choice(arr.size, size=min(arr.size, 20), replace=False):
+                    idx = np.unravel_index(int(flat), arr.shape)
+                    numeric = oracles.central_difference(loss, arr, idx)
+                    worst = max(worst, oracles.gradcheck_rel_err(float(grads[layer.name][key][idx]), numeric))
+        for flat in range(x.size):
+            idx = np.unravel_index(flat, x.shape)
+            worst = max(worst, oracles.gradcheck_rel_err(float(gx[idx]), oracles.central_difference(loss, x, idx)))
+        assert worst <= 1e-4
+        assert_runs_like_unfused(g, x, coef, rtol=1e-12)
+
+    def test_float32_pair_matches_the_unfused_oracle(self, layer_forward_calls):
+        gen = np.random.default_rng(31)
+        g = LayerGraph((16, 5, 7), upsample_conv("conv", "@input", gen, 16, 24, dtype=np.float32))
+        x = gen.standard_normal(g.input_shape).astype(np.float32)
+        upstream = gen.standard_normal(g.output_shape).astype(np.float32)
+        assert_runs_like_unfused(g, x, upstream, rtol=1e-5)
+        assert layer_forward_calls[g.layer("conv.up")] == 0
+
+    def test_pruned_default_config_recorded_forward_is_the_plain_forward(self, layer_forward_calls):
+        full = build_toy_gdrn(ToyConfig())
+        g = apply_prune(full, plan_prune(full, PruneConfig(target="both", d_head=16, d_pnp=16)))
+        x = np.random.default_rng(2).standard_normal(g.input_shape).astype(np.float32)
+        y, _ = g.forward(x, record=True)
+        assert y.tobytes() == g.forward(x).tobytes()
+        assert all(layer_forward_calls[g.layer(f"head.up{i}")] == 0 for i in (1, 2, 3))
+
+    @pytest.mark.parametrize("case", ["two consumers", "stride 2", "1x1", "padding 0", "upsample is the output"])
+    def test_unfused_cases_run_exactly_as_declared(self, layer_forward_calls, case):
+        gen = np.random.default_rng(41)
+        conv = {"stride 2": dict(stride=2), "1x1": dict(kernel=1, padding=0), "padding 0": dict(padding=0)}
+        layers = upsample_conv("conv", "@input", gen, 3, 4, **conv.get(case, {}))
+        output = None
+        if case == "two consumers":
+            layers += [ReLU("side", ["conv.up"]), ConcatChannels("cat", ["conv", "side"])]
+        elif case == "upsample is the output":
+            output = "conv.up"
+        g = LayerGraph((3, 4, 5), layers, output=output)
+        x = gen.standard_normal(g.input_shape)
+        assert_runs_like_unfused(g, x, gen.standard_normal(g.output_shape))
+        assert layer_forward_calls[g.layer("conv.up")] == 1
+
+    def test_graph_sharing_layers_with_a_fused_graph(self, layer_forward_calls):
+        gen = np.random.default_rng(43)
+        fused = LayerGraph((3, 4, 5), upsample_conv("conv", "@input", gen, 3, 4))
+        x = gen.standard_normal(fused.input_shape)
+        before = fused.forward(x).tobytes()
+        # the same layer objects, with a second reader of the upsample: not fused here
+        shared = LayerGraph(fused.input_shape, fused.layers + [ReLU("side", ["conv.up"])], output="conv")
+        assert_runs_like_unfused(shared, x, gen.standard_normal(shared.output_shape))
+        assert layer_forward_calls[shared.layer("conv.up")] == 1
+        assert fused.forward(x).tobytes() == before
+        assert layer_forward_calls[shared.layer("conv.up")] == 1
+        assert_runs_like_unfused(fused, x, gen.standard_normal(fused.output_shape), rtol=1e-12)
+
+    def test_upsample_input_stays_alive_until_the_fused_conv(self, layer_forward_calls):
+        # "relu" is read by the upsample, by "mid" before the conv, and by nothing after
+        gen = np.random.default_rng(47)
+        up, conv = upsample_conv("conv", "relu", gen, 2, 3)
+        layers = [ReLU("relu", ["@input"]), up, ReLU("mid", ["relu"]), conv]
+        layers += [Upsample2xNearest("mid.up", ["mid"]), ConcatChannels("cat", ["conv", "mid.up"])]
+        g = LayerGraph((2, 3, 4), layers)
+        x = gen.standard_normal(g.input_shape)
+        assert_runs_like_unfused(g, x, gen.standard_normal(g.output_shape), rtol=1e-12)
+        assert layer_forward_calls[g.layer("conv.up")] == 0
+
+    def test_count_flops_counts_the_declared_network(self):
+        g = LayerGraph((3, 4, 5), upsample_conv("conv", "@input", np.random.default_rng(0), 3, 4))
+        assert count_flops(g).per_layer == {"conv.up": (0, 3 * 8 * 10), "conv": (4 * 3 * 9 * 8 * 10, 0)}
 
 
 class TestFlopCounts:
