@@ -14,7 +14,6 @@ Three on-disk formats:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -247,26 +246,6 @@ def _finite_number(value) -> bool:
     return type(value) is float and math.isfinite(value)
 
 
-def _symmetry_rows(rows: list, where: str) -> np.ndarray:
-    """(S, 3, 4) float64 array of JSON rows of 12 numbers, each finite as a
-    float64. The first bad row raises SchemaViolation at where[row]."""
-    try:  # one array pass over a valid table, which may hold hundreds of rows
-        if set(map(type, rows)) <= {list} and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-            arr = np.array(rows, dtype=np.float64)
-            # NaN and inf fail the bound; so does an int that _finite_number
-            # rejects but that rounds to float64's max instead of overflowing
-            if arr.shape == (len(rows), 12) and (np.abs(arr) < sys.float_info.max).all():
-                return arr.reshape(-1, 3, 4)
-    except (OverflowError, ValueError):  # an int beyond float64's range; rows of unequal length
-        pass
-    for j, flat in enumerate(rows):
-        if not (isinstance(flat, list) and len(flat) == 12):
-            raise SchemaViolation(f"{where}[{j}]", "must be 12 numbers (3x4 row-major)")
-        if not all(map(_finite_number, flat)):
-            raise SchemaViolation(f"{where}[{j}]", "must be finite numbers")
-    return np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
-
-
 def _camera_from_k(cam_k, im_size, where) -> CameraIntrinsics:
     if not (isinstance(cam_k, list) and len(cam_k) == 9):
         raise SchemaViolation(where, "cam_K must be a list of 9 numbers")
@@ -319,7 +298,12 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
         rows = entry.get("symmetries", [])
         if not isinstance(rows, list):
             raise SchemaViolation(f"{where}.symmetries", "must be a list of 3x4 rows")
-        syms = _symmetry_rows(rows, f"{where}.symmetries")
+        for j, flat in enumerate(rows):
+            if not (isinstance(flat, list) and len(flat) == 12):
+                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be 12 numbers (3x4 row-major)")
+            if not all(map(_finite_number, flat)):
+                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be finite numbers")
+        syms = np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
         valid = is_rotation(syms[:, :, :3])
         if not valid.all():
             raise InvalidRotation(f"{where}.symmetries[{np.argmin(valid)}]: R is not a rotation within 1e-6")

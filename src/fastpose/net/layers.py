@@ -166,8 +166,6 @@ class Conv2D(Layer):
         """(a, b, weight) per output phase of the sub-pixel form: the (out,
         in*2*2) weight of the 2x2 conv that yields output rows 2p + a,
         columns 2q + b. Rebuilt from the 3x3 weight on every call."""
-        _require(self.kernel == 3 and self.stride == 1 and self.padding == 1,
-                 f"{self.name}: only a 3x3, stride-1, padding-1 conv fuses with an upsample")
         w9 = self.weight.reshape(-1, 9)
         for (a, b), taps in _PHASE_TAPS.items():
             yield a, b, (w9 @ taps.astype(w9.dtype)).reshape(self.out_channels, -1)

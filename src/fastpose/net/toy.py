@@ -119,9 +119,19 @@ class HeadLayout:
         return [self.region_logits, self.coordinates]
 
 
+_INIT_CHUNK = 1 << 15  # float64 draws per uniform() call: 256 KiB
+
+
 def _uniform(gen: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
+    """float32 U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights. The float64 draws
+    come in chunks, so a large weight (pnp.fc1's is 2M numbers) never gets a
+    float64 copy; the stream, and so every value, is that of one uniform() call."""
     bound = 1.0 / math.sqrt(fan_in)
-    return gen.uniform(-bound, bound, size=shape).astype(np.float32)
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _INIT_CHUNK):
+        flat[start : start + _INIT_CHUNK] = gen.uniform(-bound, bound, size=min(_INIT_CHUNK, flat.size - start))
+    return out
 
 
 def _conv(name: str, src: str, cin: int, cout: int, k: int, stride: int, padding: int, seed: int) -> Conv2D:

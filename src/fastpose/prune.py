@@ -167,10 +167,19 @@ def _check_plan(graph: LayerGraph, plan: PrunePlan) -> None:
             raise TooAggressive(f"{name}: fewer than one group would remain")
 
 
+def _delete(a: np.ndarray, removed: np.ndarray, axis: int = 0) -> np.ndarray:
+    """np.delete(a, removed, axis) as a take of the kept indices, which is
+    several times faster along a weight's input axis."""
+    return np.take(a, np.setdiff1d(np.arange(a.shape[axis]), removed), axis=axis)
+
+
 def apply_prune(graph: LayerGraph, plan: PrunePlan) -> LayerGraph:
     """New graph with the planned channels removed and all consumers adjusted."""
     _check_plan(graph, plan)
-    pruned = copy.deepcopy(graph)
+    # the copy shares the parameter arrays until they are replaced by their
+    # pruned versions below; those left over are copied at the end
+    originals = {id(p): p for layer in graph.layers for p in layer.params().values()}
+    pruned = copy.deepcopy(graph, dict(originals))
     empty = np.zeros(0, dtype=np.int64)
     removed_of: dict[str, np.ndarray] = {}
 
@@ -178,17 +187,17 @@ def apply_prune(graph: LayerGraph, plan: PrunePlan) -> LayerGraph:
         rem_in = [removed_of.get(src, empty) for src in layer.inputs]
         if isinstance(layer, Conv2D):
             if rem_in[0].size:
-                layer.weight = np.delete(layer.weight, rem_in[0], axis=1)
+                layer.weight = _delete(layer.weight, rem_in[0], axis=1)
             own = np.asarray(plan.removed.get(layer.name, ()), dtype=np.int64)
             if own.size:
-                layer.weight = np.delete(layer.weight, own, axis=0)
-                layer.bias = np.delete(layer.bias, own)
+                layer.weight = _delete(layer.weight, own, axis=0)
+                layer.bias = _delete(layer.bias, own)
             removed_of[layer.name] = own
         elif isinstance(layer, GroupNorm):
             rem = rem_in[0]
             if rem.size:
-                layer.gamma = np.delete(layer.gamma, rem)
-                layer.beta = np.delete(layer.beta, rem)
+                layer.gamma = _delete(layer.gamma, rem)
+                layer.beta = _delete(layer.beta, rem)
                 if layer.gamma.size % layer.group_size:
                     raise InconsistentPlan(f"{layer.name}: remaining channels break group size {layer.group_size}")
             removed_of[layer.name] = rem
@@ -203,7 +212,7 @@ def apply_prune(graph: LayerGraph, plan: PrunePlan) -> LayerGraph:
                 removed_of[layer.name] = empty
         elif isinstance(layer, Dense):
             if rem_in[0].size:
-                layer.weight = np.delete(layer.weight, rem_in[0], axis=1)
+                layer.weight = _delete(layer.weight, rem_in[0], axis=1)
             removed_of[layer.name] = empty
         elif isinstance(layer, ConcatChannels):
             out_removed = []
@@ -238,6 +247,10 @@ def apply_prune(graph: LayerGraph, plan: PrunePlan) -> LayerGraph:
             del pruned.meta["toy_config"]
         else:
             pruned.meta["toy_config"] = tc
+    for layer in pruned.layers:
+        for key, value in layer.params().items():
+            if id(value) in originals:
+                layer.set_param(key, value.copy())
     pruned.validate()
     return pruned
 

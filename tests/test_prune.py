@@ -196,6 +196,17 @@ class TestApply:
             for key, arr in params.items():
                 np.testing.assert_array_equal(arr, before[name][key])
 
+    @pytest.mark.parametrize("config", [PruneConfig(), PruneConfig(target="both", d_head=1, d_pnp=1)],
+                             ids=["empty-plan", "both"])
+    def test_pruned_graph_shares_no_parameter_memory(self, config):
+        g = build_toy_gdrn(small_cfg(seed=7))
+        pruned = apply_prune(g, plan_prune(g, config))
+        originals = [arr for params in g.params().values() for arr in params.values()]
+        for name, params in pruned.params().items():
+            for key, arr in params.items():
+                assert arr.flags.c_contiguous, (name, key)
+                assert not any(np.shares_memory(arr, orig) for orig in originals), (name, key)
+
     def test_pruned_counts_match_network_built_at_degree(self):
         base = build_toy_gdrn(small_cfg(head_width=32, seed=1))
         plan = plan_prune(base, PruneConfig(target="both", d_head=1, d_pnp=1))

@@ -34,6 +34,8 @@ from fastpose.net import (
     zero_gradients,
 )
 
+from fastpose import rng
+from fastpose.net import toy
 from fastpose.net.layers import LAYER_KINDS
 from fastpose.prune import PruneConfig, apply_prune, plan_prune
 
@@ -638,6 +640,12 @@ class TestToyNetwork:
         assert g.output == "pnp.out"
         y = g.forward(np.zeros((3, 64, 64), np.float32))
         assert y.shape == (9,)
+
+    def test_chunked_weight_init_is_one_uniform_draw(self):
+        shape, fan_in = (3, toy._INIT_CHUNK + 5), 7
+        bound = 1.0 / np.sqrt(fan_in)
+        want = rng.derive(3, "w").uniform(-bound, bound, size=shape).astype(np.float32)
+        assert toy._uniform(rng.derive(3, "w"), shape, fan_in).tobytes() == want.tobytes()
 
     def test_default_config_memory(self):
         # forward drops each activation after its last consumer; backward keeps
