@@ -54,8 +54,9 @@ def save_model(graph: LayerGraph, path: str | Path) -> Path:
         "layers": layer_entries,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = np.concatenate(chunks) if chunks else np.zeros(0, dtype="<f4")
-    (path.parent / weights_name).write_bytes(blob.astype("<f4").tobytes())
+    with open(path.parent / weights_name, "wb") as f:
+        for flat in chunks:  # written in place, no concatenated copy of the weights
+            f.write(flat)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
