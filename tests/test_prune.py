@@ -15,6 +15,7 @@ from fastpose.net import (
 )
 from fastpose.prune import (
     PruneConfig,
+    _delete,
     PrunePlan,
     apply_prune,
     filter_l1_norms,
@@ -166,6 +167,14 @@ class TestPlanDocument:
 
 
 class TestApply:
+    @pytest.mark.parametrize("shape, axis", [((12,), 0), ((6, 12, 3, 3), 1), ((12, 5, 3, 3), 0), ((4, 12), 1)])
+    def test_delete_matches_np_delete(self, shape, axis):
+        a = np.random.default_rng(2).standard_normal(shape).astype(np.float32)
+        removed = np.array([0, 3, 4, 5, 11], dtype=np.int64)
+        want = np.delete(a, removed, axis=axis)
+        got = _delete(a, removed, axis=axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_empty_plan_preserves_graph_bitwise(self):
         g = build_toy_gdrn(small_cfg(seed=4))
         pruned = apply_prune(g, PrunePlan({}))

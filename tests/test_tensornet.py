@@ -791,6 +791,9 @@ class TestModelIO:
         assert doc["weights_file"] == "m.weights"
         blob = (tmp_path / "m.weights").read_bytes()
         assert len(blob) == 4 * count_params(g)
+        # each layer's parameters in manifest order, sorted by name, as little-endian float32
+        params = [layer.params() for layer in g.layers]
+        assert blob == b"".join(np.asarray(p[k], "<f4").tobytes() for p in params for k in sorted(p))
 
     def test_empty_graph_roundtrip(self, tmp_path):
         g = LayerGraph((2, 3, 3), [])
