@@ -287,6 +287,9 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
             obj_id = int(key)
         except ValueError as exc:
             raise SchemaViolation(where, "object keys must be integer ids") from exc
+        # int() also takes "07", " 7" and "7_0": two spellings of one id would replace each other
+        if str(obj_id) != key:
+            raise SchemaViolation(where, f"object key must be written as {obj_id}")
         if not isinstance(entry, dict):
             raise SchemaViolation(where, "object entry must be a JSON object")
         diameter = entry.get("diameter")
@@ -294,7 +297,9 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
             if not (_finite_number(diameter) and diameter > 0):
                 raise SchemaViolation(f"{where}.diameter", "must be a positive finite number")
             diameter = float(diameter)
-        symmetric = bool(entry.get("symmetric", False))
+        symmetric = entry.get("symmetric", False)
+        if type(symmetric) is not bool:
+            raise SchemaViolation(f"{where}.symmetric", "must be true or false")
         rows = entry.get("symmetries", [])
         if not isinstance(rows, list):
             raise SchemaViolation(f"{where}.symmetries", "must be a list of 3x4 rows")

@@ -183,9 +183,26 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray, upper: bool = False):
 
 def _pairwise_diameter(vertices: np.ndarray) -> float:
     """Largest vertex distance. (a-b)**2 == (b-a)**2 exactly, so the upper
-    triangle holds the maximum of the full matrix, bit for bit."""
+    triangle holds the maximum of the full matrix, bit for bit.
+
+    Only candidates are scanned. With r the distance from the centroid (any
+    fixed point would do), |a - b| <= r_a + r_b <= r_a + max(r), and `best`,
+    the distance from the vertex at max(r) to its farthest vertex, is a real
+    pair's length; so a vertex with r_a + max(r) < best ends no longer pair.
+    The kept pairs' squared distances are the same floats, so the maximum is
+    bit-identical to the full scan. Each computed length is within a few
+    ulps of the true one while no square underflows or overflows; the cut
+    at best * (1 - 1e-9) leaves a far wider margin, and outside
+    1e-100 < best < 1e100 every vertex is kept. A mesh whose full scan fits
+    in one block skips the filter, which would cost more than it saves.
+    """
     if len(vertices) == 0:
         raise EmptyModel("model has no vertices")
+    if len(vertices) ** 2 > _BLOCK_ELEMS:
+        r = np.sqrt(np.square(vertices - vertices.mean(axis=0)).sum(axis=1))
+        best = np.sqrt(np.square(vertices - vertices[np.argmax(r)]).sum(axis=1).max())
+        if 1e-100 < best < 1e100:
+            vertices = vertices[r + r.max() >= best * (1.0 - 1e-9)]
     return float(np.sqrt(max(d2.max() for d2 in _sq_distance_blocks(vertices, vertices, upper=True))))
 
 

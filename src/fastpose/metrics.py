@@ -85,11 +85,17 @@ def e_vsd(
         raise ValueError("taus must be nonempty and positive")
     d_est = render_distance_map(model, pose_est, camera)
     d_gt = render_distance_map(model, pose_gt, camera)
-    inter = d_est.visible & d_gt.visible
-    union_count = int((d_est.visible | d_gt.visible).sum())
+    # the boxes' common rectangle holds the intersection; the union count is
+    # the two footprints' counts minus it
+    top, left = max(d_est.row0, d_gt.row0), max(d_est.col0, d_gt.col0)
+    bottom = max(top, min(d.row0 + d.box.shape[0] for d in (d_est, d_gt)))
+    right = max(left, min(d.col0 + d.box.shape[1] for d in (d_est, d_gt)))
+    a, b = (d.box[top - d.row0:bottom - d.row0, left - d.col0:right - d.col0] for d in (d_est, d_gt))
+    inter = (a > 0) & (b > 0)
+    diff = np.abs(a[inter] - b[inter])
+    union_count = int((d_est.box > 0).sum()) + int((d_gt.box > 0).sum()) - len(diff)
     if union_count == 0:
         return [0.0 for _ in taus]
-    diff = np.abs(d_est.depth[inter] - d_gt.depth[inter])
     # Mismatch count over union count: both are exact integers, so one
     # division yields the correctly rounded value of the defining fraction.
     # (1 - matched/union can land a ulp below thresholds like 0.2 and flip

@@ -6,45 +6,69 @@ top-left rule breaking ties on edges. Stored depth is camera-space z,
 perspective-correct via 1/z interpolation. Triangles are clipped against a
 near plane at 1 mm; anything fully behind it is discarded.
 
-All triangles are rasterized in one array pass over their bounding-box
-pixels, taken _CHUNK_PX at a time so memory stays bounded; each pixel keeps
-the minimum depth over its covering triangles, which does not depend on the
-order they are visited in.
+A render touches only the pixels its triangles can reach: the z-buffer
+spans the union of the triangles' clipped pixel boxes. Triangles are grouped
+into size classes, box height and width each rounded up to a power of two,
+and each class is tested as one (triangles, rows, columns) grid of pixel
+centres masked to every triangle's own box, at most _CHUNK_PX padded pixels
+per pass so memory stays bounded. Each pixel keeps the minimum depth over
+its covering triangles, which does not depend on the order they are visited
+in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
 from .geom import CameraIntrinsics, ObjectModel, Pose
 
 NEAR_MM = 1.0
-_CHUNK_PX = 1 << 16  # bounding-box pixels per array pass, about 220 bytes of work arrays each
+_CHUNK_PX = 1 << 16  # padded box pixels per array pass, about 60 bytes of work arrays each
 
 
-@dataclass(frozen=True)
 class DistanceMap:
-    """Per-pixel camera-space depth (mm, 0 = background) plus visibility mask."""
+    """Per-pixel camera-space depth (mm, 0 = background) plus visibility mask.
 
-    width: int
-    height: int
-    depth: np.ndarray
-    visible: np.ndarray
+    The map holds `box`, the depth of the pixels from row `row0` and column
+    `col0` on; every pixel outside it is background. `depth` and `visible`
+    build the read-only full (height, width) frames on each access.
+    """
 
-    def __post_init__(self):
-        if self.depth.shape != (self.height, self.width) or self.visible.shape != self.depth.shape:
+    def __init__(self, width: int, height: int, depth: np.ndarray, visible: np.ndarray):
+        if depth.shape != (height, width) or visible.shape != depth.shape:
             raise ValueError("depth/visible shape must be (height, width)")
-        if not np.array_equal(self.visible, self.depth > 0):
+        if not np.array_equal(visible, depth > 0):
             raise ValueError("visible mask must equal depth > 0")
-        self.depth.setflags(write=False)
-        self.visible.setflags(write=False)
+        depth.setflags(write=False)
+        self.width, self.height, self.box, self.row0, self.col0 = width, height, depth, 0, 0
 
     @staticmethod
     def from_depth(depth: np.ndarray) -> "DistanceMap":
         d = np.asarray(depth, dtype=np.float64)
         return DistanceMap(d.shape[1], d.shape[0], d, d > 0)
+
+    @staticmethod
+    def _of_box(width: int, height: int, box: np.ndarray, row0: int, col0: int) -> "DistanceMap":
+        dmap = DistanceMap.__new__(DistanceMap)
+        box.setflags(write=False)
+        dmap.width, dmap.height, dmap.box, dmap.row0, dmap.col0 = width, height, box, row0, col0
+        return dmap
+
+    def _frame(self, box: np.ndarray) -> np.ndarray:
+        frame = np.zeros((self.height, self.width), box.dtype)
+        frame[self.row0:self.row0 + box.shape[0], self.col0:self.col0 + box.shape[1]] = box
+        frame.setflags(write=False)
+        return frame
+
+    @property
+    def depth(self) -> np.ndarray:
+        return self._frame(self.box)
+
+    @property
+    def visible(self) -> np.ndarray:
+        return self._frame(self.box > 0)
 
 
 def _clip_near(tri: np.ndarray, near: float) -> list[np.ndarray]:
@@ -80,21 +104,20 @@ def _owns(ax, ay, bx, by):
 
 def render_distance_map(model: ObjectModel, pose: Pose, camera: CameraIntrinsics) -> DistanceMap:
     """Rasterize the posed mesh into a DistanceMap under `camera`."""
-    h, w = camera.height, camera.width
-    zbuf = np.full(h * w, np.inf)
     cam_pts = pose.transform(model.vertices) if len(model.vertices) else np.zeros((0, 3))
     tris = cam_pts[model.triangles]
     front = (tris[:, :, 2] >= NEAR_MM).all(axis=1)
     clipped = [piece for tri in tris[~front] for piece in _clip_near(tri, NEAR_MM)]
-    _raster_triangles(np.concatenate([tris[front], np.reshape(clipped, (-1, 3, 3))]), camera, zbuf)
+    with np.errstate(divide="ignore"):  # a 1 / 0 depth never wins the depth test
+        zbuf, row0, col0 = _raster_triangles(np.concatenate([tris[front], np.reshape(clipped, (-1, 3, 3))]), camera)
+    zbuf[zbuf == np.inf] = 0.0
+    return DistanceMap._of_box(camera.width, camera.height, zbuf, row0, col0)
 
-    depth = np.where(np.isfinite(zbuf), zbuf, 0.0).reshape(h, w)
-    return DistanceMap(w, h, depth, depth > 0)
 
-
-def _raster_triangles(tris: np.ndarray, camera: CameraIntrinsics, zbuf: np.ndarray) -> None:
+def _raster_triangles(tris: np.ndarray, camera: CameraIntrinsics) -> tuple[np.ndarray, int, int]:
     """Depth-test the (T, 3, 3) camera-space triangles, all at z >= NEAR_MM,
-    into the flat (height * width) `zbuf`."""
+    into a z-buffer (inf = empty) over the union of their clipped pixel
+    boxes; returns it with the (row, column) of its top-left pixel."""
     z = tris[:, :, 2]
     px = camera.fx * tris[:, :, 0] / z + camera.cx
     py = camera.fy * tris[:, :, 1] / z + camera.cy
@@ -111,42 +134,51 @@ def _raster_triangles(tris: np.ndarray, camera: CameraIntrinsics, zbuf: np.ndarr
     y0 = np.maximum(np.ceil(py.min(axis=1)), 0.0)
     y1 = np.minimum(np.floor(py.max(axis=1)), camera.height - 1)
     keep = (area2 != 0.0) & (x0 <= x1) & (y0 <= y1)
-    px, py, z, area2 = px[keep], py[keep], z[keep], area2[keep]
-    x0, y0 = x0[keep].astype(np.int64), y0[keep].astype(np.int64)
-    nx = x1[keep].astype(np.int64) - x0 + 1
-    counts = nx * (y1[keep].astype(np.int64) - y0 + 1)
-    owns = np.stack([_owns(px[:, a], py[:, a], px[:, b], py[:, b]) for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
+    if not keep.any():
+        return np.zeros((0, 0)), 0, 0
+    x0, x1 = x0[keep].astype(np.int64), x1[keep].astype(np.int64) + 1
+    y0, y1 = y0[keep].astype(np.int64), y1[keep].astype(np.int64) + 1
+    row0, col0 = int(y0.min()), int(x0.min())
+    zbuf = np.full((int(y1.max()) - row0, int(x1.max()) - col0), np.inf)
 
-    # pixel p of the concatenated bounding boxes belongs to triangle t when
-    # starts[t] <= p < ends[t]; boxes are row-major
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1]) if len(ends) else 0
-    for lo in range(0, total, _CHUNK_PX):
-        p = np.arange(lo, min(lo + _CHUNK_PX, total))
-        t = np.searchsorted(ends, p, side="right")
-        row, col = np.divmod(p - starts[t], nx[t])
-        row += y0[t]
-        col += x0[t]
-        gx, gy = col.astype(np.float64), row.astype(np.float64)
-        tx, ty = px[t], py[t]
-        w0 = _edge(tx[:, 1], ty[:, 1], tx[:, 2], ty[:, 2], gx, gy)
-        w1 = _edge(tx[:, 2], ty[:, 2], tx[:, 0], ty[:, 0], gx, gy)
-        w2 = _edge(tx[:, 0], ty[:, 0], tx[:, 1], ty[:, 1], gx, gy)
-        own = owns[t]
-        cover = (
-            ((w0 > 0) | ((w0 == 0) & own[:, 0]))
-            & ((w1 > 0) | ((w1 == 0) & own[:, 1]))
-            & ((w2 > 0) | ((w2 == 0) & own[:, 2]))
-        )
-        t, a2 = t[cover], area2[t[cover]]
-        tz = z[t]
-        inv_z = (w0[cover] / a2) / tz[:, 0] + (w1[cover] / a2) / tz[:, 1] + (w2[cover] / a2) / tz[:, 2]
-        with np.errstate(divide="ignore"):
-            depth = 1.0 / inv_z
-        # a NaN or infinite depth never wins the depth test
-        ok = np.isfinite(depth)
-        np.minimum.at(zbuf, (row * camera.width + col)[cover][ok], depth[ok])
+    # the kept triangles in size-class order, a class being the log2 of the
+    # box height and width rounded up to powers of two; per-vertex values as
+    # (3, T, 1, 1) columns that broadcast over a (T, th, tw) pixel grid, where
+    # edge k runs from vertex k + 1 to vertex k + 2
+    key = np.frexp(y1 - y0 - 1)[1] * 64 + np.frexp(x1 - x0 - 1)[1]
+    order = np.argsort(key)
+    x0, x1, y0, y1, area2 = (a[order] for a in (x0, x1, y0, y1, area2[keep]))
+    vx, vy, vz = (a[keep][order].T[:, :, None, None] for a in (px, py, z))
+    ax, ay, bx, by = vx[[1, 2, 0]], vy[[1, 2, 0]], vx[[2, 0, 1]], vy[[2, 0, 1]]
+    owns = _owns(ax, ay, bx, by)
+    area2 = area2[:, None, None]
+
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(key)]):
+        # a class's padded box is cut into (th, tw) tiles, n triangles per pass
+        big_h, big_w = 1 << int(key[start] // 64), 1 << int(key[start] % 64)
+        tw = min(big_w, 1 << (_CHUNK_PX.bit_length() - 1))
+        th = min(big_h, 1 << ((_CHUNK_PX // tw).bit_length() - 1))
+        n = _CHUNK_PX // (th * tw)
+        for lo, dy, dx in itertools.product(range(start, stop, n), range(0, big_h, th), range(0, big_w, tw)):
+            t = slice(lo, min(stop, lo + n))
+            gy = (y0[t] + dy)[:, None, None] + np.arange(th)[:, None]
+            gx = (x0[t] + dx)[:, None, None] + np.arange(tw)
+            w = _edge(ax[:, t], ay[:, t], bx[:, t], by[:, t], gx.astype(np.float64), gy.astype(np.float64))
+            cover = (
+                ((w > 0) | ((w == 0) & owns[:, t])).all(axis=0)
+                & (gy < y1[t, None, None]) & (gx < x1[t, None, None])
+            )
+            # 1/z interpolation, in place: (w / area2) / z per vertex
+            w /= area2[t]
+            w /= vz[:, t]
+            depth = 1.0 / (w[0] + w[1] + w[2])[cover]
+            # a NaN or infinite depth never wins the depth test
+            ok = np.isfinite(depth)
+            pix = ((gy - row0) * zbuf.shape[1] + (gx - col0))[cover][ok]
+            np.minimum.at(zbuf.reshape(-1), pix, depth[ok])
+    return zbuf, row0, col0
 
 
 def write_pgm(dmap: DistanceMap, path) -> None:

@@ -8,9 +8,10 @@ the elementary one-step primitives (rigid transform, composition, pinhole
 projection, small-array mean): each is a handful of IEEE operations behind
 a name, and sharing them is what makes exact-match assertions meaningful.
 The correspondence, symmetry, matching, and reduction structure is always
-coded independently. Two references instead keep the production arithmetic
+coded independently. Three references instead keep the production arithmetic
 and change only the iteration, so results must match byte for byte: the
-one-triangle-at-a-time z-buffer and the interleaved squared-distance sum.
+one-triangle-at-a-time z-buffer, the interleaved squared-distance sum and
+the depth-discrepancy error over full frames.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from fastpose.geom import CameraIntrinsics, ObjectModel, Pose, project_point
 from fastpose.net import GroupNorm
-from fastpose.raster import NEAR_MM, _clip_near
+from fastpose.raster import NEAR_MM, _clip_near, render_distance_map
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,19 @@ def mspd_reference(model: ObjectModel, pose_est: Pose, pose_gt: Pose,
         if worst < best:
             best = worst
     return best
+
+
+def vsd_full_frame(model: ObjectModel, pose_est: Pose, pose_gt: Pose, camera: CameraIntrinsics, taus) -> list[float]:
+    """The depth-discrepancy error on the renders' full (height, width)
+    frames: the same counts and division as metrics.e_vsd, over every pixel."""
+    d_est = render_distance_map(model, pose_est, camera)
+    d_gt = render_distance_map(model, pose_gt, camera)
+    inter = d_est.visible & d_gt.visible
+    union_count = int((d_est.visible | d_gt.visible).sum())
+    if union_count == 0:
+        return [0.0 for _ in taus]
+    diff = np.abs(d_est.depth[inter] - d_gt.depth[inter])
+    return [float((union_count - int((diff < tau).sum())) / union_count) for tau in taus]
 
 
 def vsd_reference(depth_est, visible_est, depth_gt, visible_gt, taus) -> list[float]:

@@ -458,6 +458,22 @@ class TestGroundTruthJson:
         with pytest.raises(SchemaViolation):
             parse_gt_json(gt_file(tmp_path, doc))
 
+    @pytest.mark.parametrize("key", ["07", " 7", "7 ", "7_0", "+7"])
+    def test_non_canonical_object_key_rejected(self, tmp_path, key):
+        doc = minimal_gt_doc()
+        doc["objects"][key] = {"symmetric": True}
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == f"$.objects.{key}"
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}])
+    def test_symmetric_must_be_a_json_boolean(self, tmp_path, flag):
+        doc = minimal_gt_doc()
+        doc["objects"]["7"]["symmetric"] = flag
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert exc.value.path == "$.objects.7.symmetric"
+
     def test_non_positive_diameter_rejected(self, tmp_path):
         doc = minimal_gt_doc()
         doc["objects"]["7"]["diameter"] = -3.0

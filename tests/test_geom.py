@@ -152,6 +152,43 @@ class TestDiameter:
             verts = gen.uniform(-30.0, 30.0, size=(n, 3))
             assert make_model(verts).diameter == oracles.diameter_reference(verts)
 
+    @pytest.mark.parametrize("kind", ["one", "two", "all_equal", "collinear", "far_offset"])
+    def test_candidate_filter_edge_cases(self, monkeypatch, kind):
+        monkeypatch.setattr(geom, "_BLOCK_ELEMS", 1)  # the filter runs from two vertices on
+        gen = np.random.default_rng(23)
+        verts = {
+            "one": np.array([[4.0, -2.0, 7.5]]),
+            "two": np.array([[0.0, 0.0, 0.0], [3.0, -4.0, 12.0]]),
+            "all_equal": np.tile([[1.5, -2.5, 3.5]], (7, 1)),
+            "collinear": np.outer(gen.uniform(-50.0, 50.0, 40), [1.0, -2.0, 0.5]) + [3.0, 1.0, -7.0],
+            # a 1 mm mesh 1e6 mm from the origin: large coordinates, small differences
+            "far_offset": gen.uniform(-0.5, 0.5, (60, 3)) + 1e6,
+        }[kind]
+        assert geom._pairwise_diameter(verts) == oracles.diameter_reference(verts)
+
+    def test_candidate_filter_scans_fewer_vertices_except_on_a_sphere(self, monkeypatch):
+        scanned = []
+        kernel = geom._sq_distance_blocks
+
+        def spy(a, b, upper=False):
+            scanned.append(len(a))
+            return kernel(a, b, upper)
+
+        monkeypatch.setattr(geom, "_sq_distance_blocks", spy)
+        gen = np.random.default_rng(31)
+        cube = gen.uniform(-50.0, 50.0, size=(400, 3))
+        # every vertex of a uniform sphere can end a longest pair: nothing is dropped
+        sphere = gen.standard_normal((400, 3))
+        sphere *= 50.0 / np.linalg.norm(sphere, axis=1, keepdims=True)
+        for verts in (cube, sphere):
+            assert geom._pairwise_diameter(verts) == oracles.diameter_reference(verts)
+        assert scanned[0] < len(cube) // 4
+        assert scanned[1] == len(sphere)
+        # a mesh whose full scan fits in one block is scanned whole
+        small = cube[:math.isqrt(geom._BLOCK_ELEMS)]
+        assert geom._pairwise_diameter(small) == oracles.diameter_reference(small)
+        assert scanned[2] == len(small)
+
     def test_memory_grows_linearly_not_quadratically(self):
         verts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(3000, 3))
         assert peak_traced_bytes(lambda: geom._pairwise_diameter(verts)) < 64 * 2**20

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import peak_traced_bytes, random_model, random_pose, random_symmetries, small_camera
+from conftest import peak_traced_bytes, random_mesh, random_model, random_pose, random_symmetries, small_camera
 from fastpose import geom, metrics
 from fastpose.datio import EstimateRecord, GroundTruthRecord
 from fastpose.errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter
@@ -36,6 +36,14 @@ def cube_model(side=1.0, symmetries=(), symmetric_flag=False):
     verts = np.array([[sx * h, sy * h, sz * h]
                       for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     return make_model(verts, symmetries=symmetries, symmetric_flag=symmetric_flag)
+
+
+def box_mesh(side):
+    """An axis-aligned cube of 12 outward-facing triangles."""
+    return make_model(cube_model(side).vertices, [
+        [0, 1, 3], [0, 3, 2], [4, 6, 7], [4, 7, 5], [0, 4, 5], [0, 5, 1],
+        [2, 3, 7], [2, 7, 6], [0, 2, 6], [0, 6, 4], [1, 5, 7], [1, 7, 3],
+    ])
 
 
 class TestAdd:
@@ -239,6 +247,49 @@ class TestVsd:
             db = render_distance_map(m, b, cam)
             want = oracles.vsd_reference(da.depth, da.visible, db.depth, db.visible, taus)
             assert np.abs(np.array(got) - np.array(want)).max() < 1e-12
+
+    @staticmethod
+    def scene_poses(gen, kind):
+        """Two poses whose footprints lie inside the small camera's frame,
+        are cut by its border, are clipped at the near plane, are empty
+        (one or both behind the camera) or lie in disjoint boxes."""
+        if kind == "inside":
+            return [random_pose(gen, z_range=(400.0, 900.0), xy_span=10.0) for _ in range(2)]
+        if kind == "border":  # near one edge or corner of the frame, 142 x 96 mm from its centre at 400 mm
+            edge = np.array([[142.0, 0.0], [-142.0, 0.0], [0.0, 96.0], [0.0, -96.0], [142.0, 96.0]])[gen.integers(0, 5)]
+            poses = [random_pose(gen, z_range=(390.0, 410.0), xy_span=8.0) for _ in range(2)]
+            return [Pose(p.rotation, p.translation + [*edge, 0.0]) for p in poses]
+        if kind == "near_clip":
+            return [random_pose(gen, z_range=(-10.0, 30.0), xy_span=10.0) for _ in range(2)]
+        if kind == "empty":  # the first, the second or both behind the camera
+            front = random_pose(gen, z_range=(400.0, 900.0), xy_span=10.0)
+            behind = Pose(front.rotation, np.array([0.0, 0.0, -500.0]))
+            return [(behind, front), (front, behind), (behind, behind)][int(gen.integers(0, 3))]
+        a, b = (random_pose(gen, z_range=(600.0, 900.0), xy_span=5.0) for _ in range(2))
+        return [Pose(a.rotation, a.translation - [110.0, 0.0, 0.0]), Pose(b.rotation, b.translation + [110.0, 0.0, 0.0])]
+
+    @pytest.mark.parametrize("kind", ["inside", "border", "near_clip", "empty", "disjoint"])
+    def test_box_local_counts_equal_full_frames(self, kind):
+        gen = np.random.default_rng(["inside", "border", "near_clip", "empty", "disjoint"].index(kind) + 71)
+        cam = small_camera()
+        taus = [0.5, 2.0, 10.0, 40.0, 1e9]
+        for case in range(30):
+            m = random_mesh(gen, max_vertices=12, max_triangles=16, span=30.0)
+            a, b = self.scene_poses(gen, kind)
+            assert e_vsd(m, a, b, cam, taus) == oracles.vsd_full_frame(m, a, b, cam, taus), case
+
+    def test_small_footprint_needs_no_full_frame(self):
+        # a 12-triangle, 40 mm box at 2 m covers about 10 x 10 pixels of a
+        # 640x480 frame, whose float64 depth alone takes 2.4 MB
+        cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, width=640, height=480)
+        m = box_mesh(40.0)
+        est = Pose(ROT_Z90, np.array([3.0, -2.0, 2000.0]))
+        gt = Pose(np.eye(3), np.array([0.0, 0.0, 2000.0]))
+        taus = ThresholdGrid.bop_default().vsd_taus
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(e_vsd(m, est, gt, cam, [40.0 * t for t in taus])))
+        assert out[0] == oracles.vsd_full_frame(m, est, gt, cam, [40.0 * t for t in taus])
+        assert peak < 8 * 640 * 480 / 8
 
     def test_tau_monotone(self):
         gen = np.random.default_rng(61)

@@ -203,6 +203,26 @@ class TestAgainstTriangleLoop:
             got = render_distance_map(m, pose, cam)
             assert got.depth.tobytes() == oracles.raster_loop(m, pose, cam).tobytes(), case
 
+    def test_full_frames_match_the_loop_and_are_read_only(self):
+        gen = np.random.default_rng(59)
+        for case in range(40):
+            m, pose, cam = random_scene(gen, case % 4)
+            got = render_distance_map(m, pose, cam)
+            want = oracles.raster_loop(m, pose, cam)
+            assert got.depth.tobytes() == want.tobytes(), case
+            assert got.visible.tobytes() == (want > 0).tobytes(), case
+            for frame in (got.depth, got.visible, got.box):
+                assert not frame.flags.writeable, case
+
+    def test_box_spans_the_footprint_only(self):
+        _, _, quad = screen_quad_models()
+        out = render_distance_map(quad, IDENTITY, screen_camera(640, 480))
+        # pixel centres 10..20 lie in the quad's bounding box; 20 is not covered
+        assert (out.row0, out.col0, out.box.shape) == (10, 10, (11, 11))
+        assert out.depth.shape == (480, 640) and out.visible.sum() == 100
+        empty = render_distance_map(make_model(np.zeros((3, 3)), [[0, 1, 2]]), IDENTITY, screen_camera(640, 480))
+        assert empty.box.size == 0 and not empty.visible.any()
+
     def test_triangles_larger_than_a_chunk(self):
         m = screen_filling_grid(1)
         cam = vga_camera()
