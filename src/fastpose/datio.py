@@ -127,19 +127,69 @@ def _element_count(text: str, line_no: int) -> int:
     return count
 
 
-def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> ObjectModel:
-    """ASCII PLY subset: vertex element with x/y/z, triangle faces only.
+_PLY_CHUNK_LINES = 1 << 9  # body lines tokenised at once: their token lists take about 150 KB
 
-    Returns make_model's ObjectModel for `meta` (default: computed diameter,
-    identity symmetry only, not symmetric); a misfit is SchemaViolation at `where`.
-    Extra scalar vertex properties are skipped by position; anything beyond
-    the subset (binary encodings, list vertex properties, non-triangle
-    faces) errors.
+
+def _vertex_line(line: str, line_no: int, props: int, xyz: list[int]) -> None:
+    """Raise the error of the first vertex rule `line` breaks, if any."""
+    parts = line.split()
+    if len(parts) != props:
+        raise MalformedLine(line_no, f"vertex needs {props} values, got {len(parts)}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
+    if not all(math.isfinite(values[c]) for c in xyz):
+        raise MalformedLine(line_no, "vertex coordinates must be finite")
+
+
+def _face_line(line: str, line_no: int, n_vertices: int) -> None:
+    """Raise the error of the first face rule `line` breaks, if any."""
+    parts = line.split()
+    try:
+        count = int(parts[0])
+        idx = [int(p) for p in parts[1 : 1 + count]]
+    except (ValueError, IndexError) as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
+    if count != 3 or len(parts) != 4:
+        raise UnsupportedFormat(f"line {line_no}: only triangle faces are supported")
+    if min(idx) < 0 or max(idx) >= n_vertices:
+        raise IndexOutOfRange(f"line {line_no}: vertex index outside 0..{n_vertices - 1}")
+
+
+def _element_rows(lines: list[str], first_line_no: int, width: int, dtype, valid, line_rules) -> np.ndarray:
+    """An element's body lines as one (len(lines), width) array.
+
+    Each chunk of _PLY_CHUNK_LINES lines is split into tokens, every line
+    must hold exactly `width` of them, and the chunk is converted by one
+    np.array call. NumPy's string casts call Python's float() and int(), so
+    they accept what `line_rules` accepts, with the same values. Only when a
+    count, a conversion or the array check `valid` fails does `line_rules`
+    run line by line, to raise that line's error with its number.
     """
+    rows = np.empty((len(lines), width), dtype)
+    for lo in range(0, len(lines), _PLY_CHUNK_LINES):
+        tokens = list(map(str.split, lines[lo : lo + _PLY_CHUNK_LINES]))
+        if list(map(len, tokens)).count(width) != len(tokens):
+            break
+        try:
+            rows[lo : lo + len(tokens)] = np.array(tokens, dtype)
+        except (ValueError, OverflowError):  # an int beyond int64 still has to name its line
+            break
+    else:
+        if valid(rows):
+            return rows
+    for i, line in enumerate(lines):
+        line_rules(line, first_line_no + i)
+    raise AssertionError("the per-line rules accept a line the array path rejects")
+
+
+def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of an ASCII PLY file (see parse_ply)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MalformedHeader("file does not start with 'ply'")
-    n_vertices = n_faces = None
+    counts: dict[str, int] = {}  # element name -> count, in header order
     xyz_cols: dict[str, int] = {}
     vertex_props = 0
     current = None
@@ -160,14 +210,12 @@ def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> Ob
         elif parts[0] == "element":
             if len(parts) != 3:
                 raise MalformedHeader(f"line {i}: bad element declaration {line!r}")
-            if parts[1] == "vertex":
-                n_vertices = _element_count(parts[2], i)
-                current = "vertex"
-            elif parts[1] == "face":
-                n_faces = _element_count(parts[2], i)
-                current = "face"
-            else:
-                raise UnsupportedFormat(f"unsupported element {parts[1]!r}")
+            current = parts[1]
+            if current not in ("vertex", "face"):
+                raise UnsupportedFormat(f"unsupported element {current!r}")
+            if current in counts:
+                raise MalformedHeader(f"line {i}: element {current!r} is declared twice")
+            counts[current] = _element_count(parts[2], i)
         elif parts[0] == "property":
             if current == "vertex":
                 if parts[1] == "list":
@@ -187,41 +235,41 @@ def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> Ob
         raise MalformedHeader("missing end_header")
     if not fmt_seen:
         raise MalformedHeader("missing format declaration")
-    if n_vertices is None:
+    if "vertex" not in counts:
         raise MalformedHeader("missing vertex element")
     if set(xyz_cols) != {"x", "y", "z"}:
         raise MalformedHeader("vertex element must declare x, y, and z")
 
     body = lines[body_start:]
-    if len(body) < n_vertices + (n_faces or 0):
+    n_vertices, n_faces = counts["vertex"], counts.get("face", 0)
+    if len(body) < n_vertices + n_faces:
         raise MalformedLine(body_start + len(body) + 1, "file ends before all elements are read")
-    vertices = np.zeros((n_vertices, 3))
-    for v in range(n_vertices):
-        line_no = body_start + 1 + v
-        parts = body[v].split()
-        if len(parts) < vertex_props:
-            raise MalformedLine(line_no, f"vertex needs {vertex_props} values, got {len(parts)}")
-        try:
-            vertices[v] = [float(parts[xyz_cols[a]]) for a in "xyz"]
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
-    finite = np.isfinite(vertices).all(axis=1)
-    if not finite.all():
-        raise MalformedLine(body_start + 1 + int(np.argmin(finite)), "vertex coordinates must be finite")
-    triangles = np.zeros((n_faces or 0, 3), dtype=np.int64)
-    for f in range(n_faces or 0):
-        line_no = body_start + 1 + n_vertices + f
-        parts = body[n_vertices + f].split()
-        try:
-            count = int(parts[0])
-            idx = [int(p) for p in parts[1 : 1 + count]]
-        except (ValueError, IndexError) as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
-        if count != 3 or len(parts) != 4:
-            raise UnsupportedFormat(f"line {line_no}: only triangle faces are supported")
-        if min(idx) < 0 or max(idx) >= n_vertices:
-            raise IndexOutOfRange(f"line {line_no}: vertex index outside 0..{n_vertices - 1}")
-        triangles[f] = idx
+    v0, f0 = (n_faces, 0) if next(iter(counts)) == "face" else (0, n_vertices)
+    xyz = [xyz_cols[a] for a in "xyz"]
+    vertices = _element_rows(
+        body[v0 : v0 + n_vertices], body_start + 1 + v0, vertex_props, np.float64,
+        lambda r: np.isfinite(r[:, xyz]).all(),
+        lambda line, line_no: _vertex_line(line, line_no, vertex_props, xyz),
+    )[:, xyz]
+    faces = _element_rows(
+        body[f0 : f0 + n_faces], body_start + 1 + f0, 4, np.int64,
+        lambda f: ((f[:, 0] == 3) & (f[:, 1:] >= 0).all(axis=1) & (f[:, 1:] < n_vertices).all(axis=1)).all(),
+        lambda line, line_no: _face_line(line, line_no, n_vertices),
+    )
+    return vertices, faces[:, 1:]
+
+
+def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> ObjectModel:
+    """ASCII PLY subset: vertex element with x/y/z, triangle faces only.
+
+    Returns make_model's ObjectModel for `meta` (default: computed diameter,
+    identity symmetry only, not symmetric); a misfit is SchemaViolation at `where`.
+    The body is read in the header's element order. A vertex line holds
+    exactly its declared scalar properties, all numbers; extra ones are
+    skipped by position. Anything beyond the subset (binary encodings, list
+    vertex properties, non-triangle faces, other or repeated elements) errors.
+    """
+    vertices, triangles = _ply_arrays(path)  # the file's lines are freed before the model is built
     meta = meta or ObjectMeta()
     try:
         return make_model(vertices, triangles, meta.symmetries, meta.symmetric, meta.diameter)

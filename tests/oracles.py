@@ -8,16 +8,17 @@ the elementary one-step primitives (rigid transform, composition, pinhole
 projection, small-array mean): each is a handful of IEEE operations behind
 a name, and sharing them is what makes exact-match assertions meaningful.
 The correspondence, symmetry, matching, and reduction structure is always
-coded independently. Three references instead keep the production arithmetic
+coded independently. Four references instead keep the production arithmetic
 and change only the iteration, so results must match byte for byte: the
-one-triangle-at-a-time z-buffer, the interleaved squared-distance sum and
-the depth-discrepancy error over full frames.
+one-triangle-at-a-time z-buffer, the interleaved squared-distance sum, the
+depth-discrepancy error over full frames and the line-at-a-time PLY body.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -312,6 +313,29 @@ def diameter_reference(vertices) -> float:
             if d2 > worst:
                 worst = d2
     return math.sqrt(worst)
+
+
+def ply_loop(path) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of a well-formed ASCII PLY file, one body line at
+    a time with Python's float() and int(), elements in header order."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    elements, i = [], 1
+    while lines[i].strip() != "end_header":
+        parts = lines[i].split()
+        if parts[:1] == ["element"]:
+            elements.append((parts[1], int(parts[2]), []))
+        elif parts[:1] == ["property"]:
+            elements[-1][2].append(parts[-1])
+        i += 1
+    body = iter(lines[i + 1:])
+    vertices, triangles = np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+    for name, count, props in elements:
+        rows = [next(body).split() for _ in range(count)]
+        if name == "vertex":
+            vertices = np.array([[float(r[props.index(a)]) for a in "xyz"] for r in rows]).reshape(-1, 3)
+        else:
+            triangles = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int64).reshape(-1, 3)
+    return vertices, triangles
 
 
 def recall_reference(errors, threshold) -> float:

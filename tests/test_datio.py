@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
+from fastpose import datio
 from fastpose.datio import (
     EstimateRecord,
     ObjectMeta,
@@ -318,6 +320,129 @@ class TestPlyParsing:
             parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("1 0 0", f"1 {coord} 0")))
         assert exc.value.line_no == 11
         assert "finite" in exc.value.reason
+
+
+    def test_vertex_line_with_an_undeclared_value_rejected(self, tmp_path):
+        with pytest.raises(MalformedLine, match="vertex needs 3 values, got 4") as exc:
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("0 0 0\n", "0 0 0 7\n", 1)))
+        assert exc.value.line_no == 10
+
+    def test_non_numeric_extra_vertex_property_rejected(self, tmp_path):
+        text = TRIANGLE_PLY.replace("property float z", "property float z\nproperty uchar red")
+        text = text.replace("0 0 0\n1 0 0\n0 1 0", "0 0 0 1\n1 0 0 red\n0 1 0 3")
+        with pytest.raises(MalformedLine) as exc:
+            parse_ply(ply_file(tmp_path, text))
+        assert exc.value.line_no == 12
+
+    def test_face_element_declared_first_is_read_in_header_order(self, tmp_path):
+        text = (
+            "ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n"
+            "element vertex 3\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+            "3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n"
+        )
+        model = parse_ply(ply_file(tmp_path, text))
+        np.testing.assert_array_equal(model.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(model.triangles, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("element, line_no", [("vertex", 7), ("face", 9)])
+    def test_repeated_element_declaration_rejected(self, tmp_path, element, line_no):
+        if element == "vertex":
+            text = TRIANGLE_PLY.replace("element face 1", "element vertex 2\nproperty float w\nelement face 1")
+        else:
+            text = TRIANGLE_PLY.replace("end_header", "element face 0\nproperty list uchar int vertex_indices\nend_header")
+        with pytest.raises(MalformedHeader, match=f"^line {line_no}: element '{element}' is declared twice"):
+            parse_ply(ply_file(tmp_path, text))
+
+    def test_index_beyond_int64_names_its_line(self, tmp_path):
+        with pytest.raises(IndexOutOfRange, match="^line 13: "):
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("3 0 1 2", "3 0 1 " + "9" * 30)))
+
+
+def styled_number(gen, value: float) -> str:
+    """One of the spellings float() reads: fixed, repr, exponent, signed zero, explicit plus."""
+    style = int(gen.integers(6))
+    return [f"{value:.4f}", repr(float(value)), f"{value:.6e}", "-0", "+1", f"+{abs(value):.3f}"][style]
+
+
+def styled_ply(gen, n_vertices: int, n_faces: int, *, extra: bool, crlf: bool) -> str:
+    """A well-formed PLY with mixed number spellings and whitespace (tabs, runs of spaces)."""
+    props = ["x", "y", "z"]
+    if extra:
+        props = ["nx", "x", "y", "red", "z"]
+    head = ["ply", "format ascii 1.0", f"element vertex {n_vertices}"]
+    head += [f"property float {p}" for p in props]
+    if n_faces:
+        head += [f"element face {n_faces}", "property list uchar int vertex_indices"]
+    head.append("end_header")
+    seps = [" ", "\t", "   ", " \t "]
+
+    def line(tokens):
+        gaps = [seps[int(gen.integers(len(seps)))] for _ in tokens]
+        lead = " " if gen.random() < 0.2 else ""
+        return lead + "".join(t + g for t, g in zip(tokens, gaps)).rstrip(" \t") + ("\t" if gen.random() < 0.2 else "")
+
+    body = [line([styled_number(gen, v) for v in gen.uniform(-80.0, 80.0, len(props))]) for _ in range(n_vertices)]
+    for _ in range(n_faces):
+        idx = gen.integers(0, n_vertices, 3)
+        body.append(line(["3"] + [("+" if gen.random() < 0.2 else "") + str(i) for i in idx]))
+    end = "\r\n" if crlf else "\n"
+    return end.join(head + body) + end
+
+
+class TestPlyArrayBody:
+    """The body is parsed an element at a time as arrays; the per-line rules run
+    only to name a failing line."""
+
+    @pytest.mark.parametrize("n_vertices, n_faces", [(0, 0), (1, 0), (7, 0), (40, 60), (300, 500)])
+    @pytest.mark.parametrize("extra", [False, True], ids=["xyz", "extra-props"])
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["chunk-default", "chunk-7"])
+    def test_array_body_equals_the_line_loop(self, tmp_path, monkeypatch, n_vertices, n_faces, extra, crlf, chunk):
+        if chunk:
+            monkeypatch.setattr(datio, "_PLY_CHUNK_LINES", chunk)
+        gen = np.random.default_rng(n_vertices * 7 + n_faces + 2 * extra + crlf)
+        path = tmp_path / "styled.ply"
+        path.write_bytes(styled_ply(gen, n_vertices, n_faces, extra=extra, crlf=crlf).encode())
+        vertices, triangles = oracles.ply_loop(path)
+        model = parse_ply(path, ObjectMeta(diameter=0.0) if n_vertices == 0 else None)
+        assert model.vertices.tobytes() == vertices.tobytes()  # bytes: -0.0 stays -0.0
+        assert model.triangles.tobytes() == triangles.tobytes()
+
+    def test_line_rules_do_not_run_on_a_valid_file(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("per-line rules ran on a valid file")
+        monkeypatch.setattr(datio, "_vertex_line", forbidden)
+        monkeypatch.setattr(datio, "_face_line", forbidden)
+        model = parse_ply(ply_file(tmp_path, cube_ply()))
+        assert model.triangles.shape == (12, 3)
+
+    @pytest.mark.parametrize("old, new, error, line_no", [
+        ("0 1 1", "0 1", MalformedLine, 13),
+        ("1 1 0", "1 x 0", MalformedLine, 16),
+        ("1 1 1", "1 1 nan", MalformedLine, 17),
+        ("3 0 6 4", "3 0 6 8", IndexOutOfRange, 27),
+        ("3 1 7 3", "4 1 7 3 0", UnsupportedFormat, 29),
+        ("3 2 7 6", "3 2 7 six", MalformedLine, 25),
+    ])
+    def test_errors_in_later_chunks_name_their_line(self, tmp_path, monkeypatch, old, new, error, line_no):
+        monkeypatch.setattr(datio, "_PLY_CHUNK_LINES", 3)
+        text = cube_ply().replace(old, new)
+        assert text != cube_ply()
+        with pytest.raises(error) as exc:
+            parse_ply(ply_file(tmp_path, text))
+        assert getattr(exc.value, "line_no", None) == line_no or str(exc.value).startswith(f"line {line_no}:")
+
+    def test_one_value_on_every_line_rejected(self, tmp_path):
+        # an (n, 1) token array would broadcast into the (n, 3) rows without the count check
+        with pytest.raises(MalformedLine, match="vertex needs 3 values, got 1") as exc:
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("0 0 0\n1 0 0\n0 1 0", "0\n1\n2")))
+        assert exc.value.line_no == 10
+
+    def test_first_failing_line_wins_across_elements(self, tmp_path):
+        text = cube_ply().replace("1 1 1\n", "1 1 one\n").replace("3 0 1 3\n", "3 0 1 99\n")
+        with pytest.raises(MalformedLine) as exc:
+            parse_ply(ply_file(tmp_path, text))
+        assert exc.value.line_no == 17
 
 
 def minimal_gt_doc() -> dict:

@@ -92,6 +92,101 @@ class TestAddS:
             assert e_add_s(m, a, b) <= e_add(m, a, b)
 
 
+
+def small_turn(gen, degrees: float) -> np.ndarray:
+    """Rotation by `degrees` about a random axis (Rodrigues)."""
+    axis = gen.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    a = np.deg2rad(degrees)
+    return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)
+
+
+def torus_vertices(n_major: int, n_minor: int, major=55.0, minor=18.0) -> np.ndarray:
+    u, v = np.meshgrid(np.arange(n_major) * (2 * np.pi / n_major), np.arange(n_minor) * (2 * np.pi / n_minor))
+    ring = major + minor * np.cos(v)
+    return np.stack([ring * np.cos(u), ring * np.sin(u), minor * np.sin(v)], axis=-1).reshape(-1, 3)
+
+
+def full_block_scan(m, pose_est, pose_gt) -> float:
+    est, gt = pose_est.transform(m.vertices), pose_gt.transform(m.vertices)
+    return float(np.sqrt(np.concatenate([d2.min(axis=1) for d2 in geom._sq_distance_blocks(est, gt)])).mean())
+
+
+def scanned_add_s(monkeypatch, m, pose_est, pose_gt) -> tuple[float, int]:
+    """e_add_s and the number of squared distances it computed."""
+    sizes = []
+
+    def counting(a, b):
+        for d2 in geom._sq_distance_blocks(a, b):
+            sizes.append(d2.size)
+            yield d2
+
+    with monkeypatch.context() as mp:
+        mp.setattr(metrics, "_sq_distance_blocks", counting)
+        return e_add_s(m, pose_est, pose_gt), sum(sizes)
+
+
+ADD_S_SHAPES = {
+    "random-150": lambda gen: gen.uniform(-30.0, 30.0, size=(150, 3)),
+    "random-181": lambda gen: gen.uniform(-30.0, 30.0, size=(181, 3)),
+    "random-182": lambda gen: gen.uniform(-30.0, 30.0, size=(182, 3)),
+    "random-300": lambda gen: gen.uniform(-30.0, 30.0, size=(300, 3)),
+    "all-equal": lambda gen: np.tile(gen.uniform(-5.0, 5.0, size=3), (240, 1)),
+    "collinear": lambda gen: np.outer(gen.uniform(-40.0, 40.0, size=240), [0.3, -0.5, 0.8]),
+    "planar": lambda gen: np.c_[gen.uniform(-40.0, 40.0, size=(240, 2)), np.zeros(240)],
+    "1mm-at-1e6mm": lambda gen: gen.uniform(-0.5, 0.5, size=(240, 3)) + 1e6,
+    "torus": lambda gen: torus_vertices(18, 14),
+}
+
+
+class TestAddSCandidateScan:
+    """e_add_s scans only the ground-truth vertices near each cell of estimated
+    vertices, and its values stay those of the full scan, bit for bit."""
+
+    @pytest.mark.parametrize("pose_case", ["identical", "small-error", "offset-half-diameter", "offset-10-diameters",
+                                           "unrelated"])
+    @pytest.mark.parametrize("shape", list(ADD_S_SHAPES))
+    def test_equals_the_oracle_and_the_full_scan(self, monkeypatch, shape, pose_case):
+        gen = np.random.default_rng(sorted(ADD_S_SHAPES).index(shape))
+        m = make_model(ADD_S_SHAPES[shape](gen))
+        gt = random_pose(gen, z_range=(600.0, 900.0))
+        est = {
+            "identical": gt,
+            "small-error": Pose(small_turn(gen, 3.0) @ gt.rotation, gt.translation + gen.uniform(-2.0, 2.0, 3)),
+            "offset-half-diameter": Pose(gt.rotation, gt.translation + [0.6 * max(m.diameter, 1.0), 0.0, 0.0]),
+            "offset-10-diameters": Pose(gt.rotation, gt.translation + [10.0 * max(m.diameter, 1.0), 0.0, 0.0]),
+            "unrelated": random_pose(gen, z_range=(600.0, 900.0)),
+        }[pose_case]
+        value, scanned = scanned_add_s(monkeypatch, m, est, gt)
+        assert value == full_block_scan(m, est, gt) == oracles.add_s_reference(m, est, gt)
+        n = len(m.vertices)
+        assert scanned <= 2 * n * n
+        if n <= 181:
+            assert scanned == n * n  # one block: the plain scan
+
+    def test_small_pose_error_scans_under_an_eighth(self, monkeypatch):
+        gen = np.random.default_rng(73)
+        m = make_model(torus_vertices(72, 68))
+        n = len(m.vertices)
+        for _ in range(3):
+            gt = random_pose(gen, z_range=(600.0, 900.0))
+            est = Pose(small_turn(gen, 8.0) @ gt.rotation, gt.translation + gen.uniform(-6.0, 6.0, 3))
+            value, scanned = scanned_add_s(monkeypatch, m, est, gt)
+            assert value == full_block_scan(m, est, gt)
+            assert scanned < n * n / 8
+
+    @pytest.mark.parametrize("offset", [0.6, 10.0], ids=["half-overlap", "no-overlap"])
+    def test_far_estimates_scan_at_most_twice_the_full_scan(self, monkeypatch, offset):
+        gen = np.random.default_rng(79)
+        m = make_model(torus_vertices(40, 30))
+        gt = random_pose(gen, z_range=(600.0, 900.0))
+        est = Pose(gt.rotation, gt.translation + [0.0, offset * m.diameter, 0.0])
+        value, scanned = scanned_add_s(monkeypatch, m, est, gt)
+        assert value == full_block_scan(m, est, gt)
+        assert scanned <= 2 * len(m.vertices) ** 2
+
+
 class TestMssd:
     def test_identical_poses(self):
         m = cube_model()
