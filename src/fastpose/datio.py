@@ -244,19 +244,23 @@ def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     n_vertices, n_faces = counts["vertex"], counts.get("face", 0)
     if len(body) < n_vertices + n_faces:
         raise MalformedLine(body_start + len(body) + 1, "file ends before all elements are read")
-    v0, f0 = (n_faces, 0) if next(iter(counts)) == "face" else (0, n_vertices)
     xyz = [xyz_cols[a] for a in "xyz"]
-    vertices = _element_rows(
-        body[v0 : v0 + n_vertices], body_start + 1 + v0, vertex_props, np.float64,
-        lambda r: np.isfinite(r[:, xyz]).all(),
-        lambda line, line_no: _vertex_line(line, line_no, vertex_props, xyz),
-    )[:, xyz]
-    faces = _element_rows(
-        body[f0 : f0 + n_faces], body_start + 1 + f0, 4, np.int64,
-        lambda f: ((f[:, 0] == 3) & (f[:, 1:] >= 0).all(axis=1) & (f[:, 1:] < n_vertices).all(axis=1)).all(),
-        lambda line, line_no: _face_line(line, line_no, n_vertices),
-    )
-    return vertices, faces[:, 1:]
+    arrays, start = {"face": np.empty((0, 3), np.int64)}, 0
+    for name, count in counts.items():  # header order, so the first failing line raises
+        if name == "vertex":
+            arrays[name] = _element_rows(
+                body[start : start + count], body_start + 1 + start, vertex_props, np.float64,
+                lambda r: np.isfinite(r[:, xyz]).all(),
+                lambda line, line_no: _vertex_line(line, line_no, vertex_props, xyz),
+            )[:, xyz]
+        else:
+            arrays[name] = _element_rows(
+                body[start : start + count], body_start + 1 + start, 4, np.int64,
+                lambda f: ((f[:, 0] == 3) & (f[:, 1:] >= 0).all(axis=1) & (f[:, 1:] < n_vertices).all(axis=1)).all(),
+                lambda line, line_no: _face_line(line, line_no, n_vertices),
+            )[:, 1:]
+        start += count
+    return arrays["vertex"], arrays["face"]
 
 
 def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> ObjectModel:

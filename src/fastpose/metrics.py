@@ -60,20 +60,23 @@ def e_add_s(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
     the vertices in their order is bit-identical. The relative bound needs
     no square near the reach to underflow, which holds for reach > 1e-100;
     so a first reach outside 1e-100 .. 1e100 or a non-finite vertex takes
-    the plain scan. So do a mesh whose full scan fits in one block (at
-    most 181 vertices) and an estimate whose box, grown by the first reach,
-    misses the ground truth's, where no group would find a candidate.
+    the plain scan. So does an estimate whose box, grown by the first
+    reach, misses the ground truth's, where no group would find a candidate.
+    A mesh whose full scan fits in one block (at most 181 vertices) takes
+    the plain scan before any of the grouping is computed.
     """
     if len(model.vertices) == 0:
         raise EmptyModel("ADD-S needs at least one vertex")
     est = pose_est.transform(model.vertices)
     gt = pose_gt.transform(model.vertices)
     n = len(est)
+    if n * n <= _BLOCK_ELEMS:
+        return float(np.sqrt(_nearest_sq(est, gt)).mean())
     lo, hi = est.min(axis=0), est.max(axis=0)
     per_axis = max(1, round((n / _GROUP_VERTICES) ** (1 / 3)))
     cell = float((hi - lo).max()) / per_axis
     first_reach = cell / 4
-    if (n * n <= _BLOCK_ELEMS or not (1e-100 < first_reach < 1e100) or not np.isfinite(gt).all()
+    if (not (1e-100 < first_reach < 1e100) or not np.isfinite(gt).all()
             or (lo - first_reach > gt.max(axis=0)).any() or (hi + first_reach < gt.min(axis=0)).any()):
         return float(np.sqrt(_nearest_sq(est, gt)).mean())
     ijk = np.minimum(((est - lo) / cell).astype(np.int64), per_axis - 1)

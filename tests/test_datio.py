@@ -444,6 +444,15 @@ class TestPlyArrayBody:
             parse_ply(ply_file(tmp_path, text))
         assert exc.value.line_no == 17
 
+    def test_first_failing_line_wins_in_a_face_first_file(self, tmp_path):
+        text = (
+            "ply\nformat ascii 1.0\nelement face 2\nproperty list uchar int vertex_indices\n"
+            "element vertex 3\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+            "3 0 1 2\n3 0 1 9\n0 0 0\n1 0 zero\n0 1 0\n"
+        )
+        with pytest.raises(IndexOutOfRange, match="line 11:"):
+            parse_ply(ply_file(tmp_path, text))
+
 
 def minimal_gt_doc() -> dict:
     return {

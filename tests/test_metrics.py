@@ -186,6 +186,15 @@ class TestAddSCandidateScan:
         assert value == full_block_scan(m, est, gt)
         assert scanned <= 2 * len(m.vertices) ** 2
 
+    @pytest.mark.parametrize("n", [18, 181])
+    def test_small_mesh_computes_none_of_the_grouping(self, monkeypatch, n):
+        monkeypatch.setattr(metrics, "_GROUP_VERTICES", None)  # the grouping's first use of it raises TypeError
+        gen = np.random.default_rng(n)
+        m = make_model(gen.uniform(-30.0, 30.0, (n, 3)))
+        gt = random_pose(gen, z_range=(600.0, 900.0))
+        est = Pose(small_turn(gen, 8.0) @ gt.rotation, gt.translation + gen.uniform(-6.0, 6.0, 3))
+        assert e_add_s(m, est, gt) == oracles.add_s_reference(m, est, gt)
+
 
 class TestMssd:
     def test_identical_poses(self):
