@@ -14,6 +14,7 @@ Three on-disk formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -324,6 +325,33 @@ def _pose_from_lists(r_list, t_list, where) -> Pose:
     return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), np.array(t_list, dtype=np.float64))
 
 
+def _symmetry_rows(rows: list, where: str) -> np.ndarray:
+    """The (S, 3, 4) array of `rows`, each a list of 12 finite JSON numbers.
+
+    One pass checks the row types and lengths and the set of element types,
+    one np.array call converts, and np.isfinite checks the values. Only on a
+    failure does the per-row loop run, to raise the first failing row's error
+    at `where[j]`.
+    """
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {12}:
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        if kinds <= {int, float}:
+            try:
+                syms = np.array(rows, np.float64).reshape(-1, 3, 4)
+            except OverflowError:  # an int beyond float64's range
+                pass
+            else:
+                # an int that rounds to float64's max may lie beyond it
+                if np.isfinite(syms).all() and not (int in kinds and (np.abs(syms) >= sys.float_info.max).any()):
+                    return syms
+    for j, flat in enumerate(rows):
+        if not (isinstance(flat, list) and len(flat) == 12):
+            raise SchemaViolation(f"{where}[{j}]", "must be 12 numbers (3x4 row-major)")
+        if not all(map(_finite_number, flat)):
+            raise SchemaViolation(f"{where}[{j}]", "must be finite numbers")
+    return np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
+
+
 def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -355,12 +383,7 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
         rows = entry.get("symmetries", [])
         if not isinstance(rows, list):
             raise SchemaViolation(f"{where}.symmetries", "must be a list of 3x4 rows")
-        for j, flat in enumerate(rows):
-            if not (isinstance(flat, list) and len(flat) == 12):
-                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be 12 numbers (3x4 row-major)")
-            if not all(map(_finite_number, flat)):
-                raise SchemaViolation(f"{where}.symmetries[{j}]", "must be finite numbers")
-        syms = np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
+        syms = _symmetry_rows(rows, f"{where}.symmetries")
         valid = is_rotation(syms[:, :, :3])
         if not valid.all():
             raise InvalidRotation(f"{where}.symmetries[{np.argmin(valid)}]: R is not a rotation within 1e-6")

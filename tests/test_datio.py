@@ -729,6 +729,36 @@ class TestGroundTruthJson:
             parse_gt_json(gt_file(tmp_path, doc))
         assert exc.value.path == "$.objects.7.symmetries[2]"
 
+    @pytest.mark.parametrize("row", [
+        *([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, value] for value in [
+            True, "1", None, 10**400, int(sys.float_info.max) + 2**969, int(sys.float_info.max),
+            sys.float_info.max, -sys.float_info.max, float("nan"), float("inf"), float("-inf"),
+            "NEG_ZERO", -0.0, 10**30, 5, 0.5]),
+        [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0], 7, "row", {}, [],
+    ], ids=repr)
+    def test_array_checked_rows_agree_with_the_per_number_rule(self, tmp_path, row):
+        """A symmetry table is accepted exactly when every row is a list of 12
+        numbers finite as float64s (datio._finite_number), and rejected at the
+        first row that is not, with that rule's reason."""
+        identity = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+        doc = minimal_gt_doc()
+        doc["objects"]["7"]["symmetries"] = [identity, row, identity]
+        # json.dumps writes an int -0 as 0; the document spells it "-0"
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc).replace('"NEG_ZERO"', "-0"))
+        row = [0 if v == "NEG_ZERO" else v for v in row] if isinstance(row, list) else row
+        if not (isinstance(row, list) and len(row) == 12):
+            want = "must be 12 numbers (3x4 row-major)"
+        elif not all(map(datio._finite_number, row)):
+            want = "must be finite numbers"
+        else:
+            _, objects = parse_gt_json(path)
+            assert objects[7].symmetries.tobytes() == np.array([identity, row, identity], np.float64).reshape(-1, 3, 4).tobytes()
+            return
+        with pytest.raises(SchemaViolation) as exc:
+            parse_gt_json(path)
+        assert (exc.value.path, exc.value.reason) == ("$.objects.7.symmetries[1]", want)
+
     def test_symmetries_must_be_a_list(self, tmp_path):
         doc = minimal_gt_doc()
         doc["objects"]["7"]["symmetries"] = {}

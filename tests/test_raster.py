@@ -184,6 +184,26 @@ def vga_camera() -> CameraIntrinsics:
     return CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, width=640, height=480)
 
 
+def unit_camera(width: int, height: int) -> CameraIntrinsics:
+    """fx=fy=1 and cx=cy=0: a vertex (X z, Y z, z) projects to exactly (X, Y)."""
+    return CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+
+
+def screen_vertices(corners) -> np.ndarray:
+    """Camera-space vertices for (column, row, z) corners under `unit_camera`."""
+    return np.array([[x * z, y * z, z] for x, y, z in corners], dtype=np.float64)
+
+
+def box_class(tri: np.ndarray, cam: CameraIntrinsics) -> tuple[int, int]:
+    """log2 of a camera-space triangle's clipped pixel box height and width,
+    each rounded up to a power of two: the rasterizer's size class."""
+    px = cam.fx * tri[:, 0] / tri[:, 2] + cam.cx
+    py = cam.fy * tri[:, 1] / tri[:, 2] + cam.cy
+    rows = min(np.floor(py.max()), cam.height - 1) - max(np.ceil(py.min()), 0.0) + 1
+    cols = min(np.floor(px.max()), cam.width - 1) - max(np.ceil(px.min()), 0.0) + 1
+    return int(rows - 1).bit_length(), int(cols - 1).bit_length()
+
+
 class TestAgainstTriangleLoop:
     """Byte identity with the one-triangle-at-a-time z-buffer (oracles.raster_loop)."""
 
@@ -229,6 +249,68 @@ class TestAgainstTriangleLoop:
         got = render_distance_map(m, IDENTITY, cam)
         assert got.visible.all()
         assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
+
+    def test_pixel_centre_ties_on_shared_edges_across_size_classes(self):
+        # corners on whole pixels under a unit camera: the edge (2, 2)-(10, 6) passes
+        # through the centres (4, 3), (6, 4) and (8, 5), and the top edge y = 2, the
+        # bottom edge y = 13 and the edges x = 2 and x = 10 through rows and columns
+        # of centres; the second triangle's size class differs from the other two
+        cam = unit_camera(16, 16)
+        verts = screen_vertices([(2, 2, 1.0), (10, 2, 2.0), (10, 6, 4.0), (2, 13, 3.0), (10, 13, 1.5)])
+        tris = [[0, 1, 2], [0, 2, 3], [2, 4, 3]]
+        classes = [box_class(verts[t], cam) for t in tris]
+        assert classes[0] == classes[2] != classes[1]
+        for winding in (slice(None), slice(None, None, -1)):
+            masks = []
+            for subset in ([0], [1], [2], [0, 1, 2]):
+                m = make_model(verts, np.array(tris)[subset][:, winding])
+                got = render_distance_map(m, IDENTITY, cam)
+                assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
+                masks.append(got.visible)
+            assert not (masks[0] & masks[1]).any() and not (masks[1] & masks[2]).any()
+            assert np.array_equal(masks[0] | masks[1] | masks[2], masks[3])
+            assert masks[3][3, 4] and masks[3][4, 6] and masks[3][5, 8]
+            assert masks[3][2, 2:10].all() and not masks[3][13].any() and not masks[3][:, 10].any()
+
+    def test_front_triangles_and_near_clipped_pieces_in_one_size_class(self):
+        cam = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
+        straddling = np.array([[-0.1, -0.1, -1.0], [0.3, 0.0, 3.0], [0.0, 0.3, 3.0]])
+        front = np.array([[0.1, -0.05, 1.0], [0.1, 0.1, 1.5], [-0.05, 0.1, 1.2]])
+        pieces = _clip_near(straddling, NEAR_MM)
+        assert len(pieces) == 2
+        assert len({box_class(tri, cam) for tri in [front, *pieces]}) == 1
+        m = make_model(np.vstack([straddling, front]), [[0, 1, 2], [3, 4, 5]])
+        got = render_distance_map(m, IDENTITY, cam)
+        assert got.visible.sum() > 50
+        assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
+
+    def test_one_triangle_per_size_class_one_pixel_per_pass(self, monkeypatch):
+        monkeypatch.setattr(raster, "_CHUNK_PX", 1)
+        cam = unit_camera(48, 48)
+        corners, tris = [], []
+        for i, (x, y, w, h) in enumerate([(1, 1, 2, 2), (5, 1, 3, 5), (10, 1, 6, 3),
+                                          (18, 1, 9, 9), (1, 12, 4, 17), (8, 30, 17, 4)]):
+            corners += [(x, y, 1.0 + i), (x + w, y, 2.0), (x, y + h, 1.5)]
+            tris.append([3 * i, 3 * i + 1, 3 * i + 2])
+        verts = screen_vertices(corners)
+        assert len({box_class(verts[t], cam) for t in tris}) == len(tris)
+        m = make_model(verts, tris)
+        got = render_distance_map(m, IDENTITY, cam)
+        assert got.visible.any()
+        assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
+
+    def test_corners_far_outside_the_frame(self):
+        cam = small_camera(width=30, height=20)  # padded boxes reach past the frame
+        verts = np.array([
+            [-1e150, -1e150, 1.0], [3e150, -1e150, 2.0], [-1e150, 3e150, 3.0],  # contains the frame
+            [-1e150, -2e150, 1.0], [2e150, 1e150, 2.0], [-3e150, 1e150, 1.5],  # cuts across it
+            [1e150, 1e150, 1.0], [2e150, 1e150, 1.0], [1e150, 2e150, 1.0],  # misses it
+        ])
+        for tris in ([[0, 1, 2]], [[3, 4, 5]], [[6, 7, 8]], [[0, 1, 2], [3, 4, 5], [6, 7, 8]]):
+            m = make_model(verts, tris)
+            got = render_distance_map(m, IDENTITY, cam)
+            assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes(), tris
+        assert got.visible.all()
 
 
 class TestMemory:
