@@ -144,7 +144,7 @@ def _train(args, student, train, **summary) -> int:
 def _cmd_finetune(args) -> int:
     student = load_model(args.model)
     reference = load_model(args.reference)
-    config = DistillConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, loss_kind="mse")
+    config = DistillConfig(learning_rate=args.lr, epochs=args.epochs)
     return _train(args, student, lambda inputs: fine_tune(student, reference, config, inputs))
 
 
@@ -156,7 +156,6 @@ def _cmd_distill(args) -> int:
         loss_kind=args.loss,
         learning_rate=args.lr,
         epochs=args.epochs,
-        seed=args.seed,
         squared_temperature=args.squared_temperature,
     )
     adapter = None

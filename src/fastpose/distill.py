@@ -5,8 +5,10 @@ Two routes move knowledge from a teacher graph into a student:
 * output mimicry: KL between temperature-softened logits (or plain MSE)
   computed on the flattened graph outputs;
 * feature alignment: a 1x1-conv adapter lifts student feature maps to the
-  teacher's channel count, both maps are normalized per pixel, and the
-  mean squared difference is minimized.
+  teacher's channel count, both maps are scaled to unit L2 norm along
+  channels per pixel, and the mean squared difference is minimized. This is
+  the only alignment objective, and it reads none of the output-loss
+  settings (loss_kind, temperature, squared_temperature).
 
 fine_tune is the same loop with the unpruned reference model as teacher
 and the MSE route, which is how pruned models recover accuracy.
@@ -26,7 +28,6 @@ from .net.graph import LayerGraph, gradients_congruent
 from .net.layers import GRAPH_INPUT, Conv2D
 
 LOSS_KINDS = ("kl", "mse")
-NORMALIZATIONS = ("l2", "channel_standardize")
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,10 @@ class DistillConfig:
     loss_kind: str = "kl"
     learning_rate: float = 1e-3
     epochs: int = 1
-    seed: int = 0
+    seed: int = 0  # accepted for callers; training reads no randomness
     # the softened-KL prefactor is the temperature itself; set this to use
     # its square, which rescales gradients to be temperature-invariant
     squared_temperature: bool = False
-    normalization: str = "l2"
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
@@ -50,8 +50,6 @@ class DistillConfig:
             raise InvalidConfig("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
-        if self.normalization not in NORMALIZATIONS:
-            raise InvalidConfig(f"normalization must be one of {NORMALIZATIONS}")
 
 
 def soften(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -139,47 +137,19 @@ def _normalize_l2_grad(g, y, safe):
     return ((g - y * dot) / safe).astype(g.dtype)
 
 
-def _standardize_channels(feat: np.ndarray, eps: float = 1e-5):
-    """Zero mean, unit variance per channel over the spatial extent."""
-    x = feat.astype(np.float64).reshape(feat.shape[0], -1)
-    mu = x.mean(axis=1, keepdims=True)
-    inv_s = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps)
-    y = ((x - mu) * inv_s).reshape(feat.shape).astype(feat.dtype)
-    return y, inv_s
-
-def _standardize_channels_grad(g, y, inv_s):
-    c = g.shape[0]
-    g2 = g.astype(np.float64).reshape(c, -1)
-    y2 = y.astype(np.float64).reshape(c, -1)
-    mean_g = g2.mean(axis=1, keepdims=True)
-    mean_gy = (g2 * y2).mean(axis=1, keepdims=True)
-    return (inv_s * (g2 - mean_g - y2 * mean_gy)).reshape(g.shape).astype(g.dtype)
-
-
-def align_and_loss(student_feat: np.ndarray, teacher_feat: np.ndarray, adapter: Adapter,
-                   normalization: str = "l2"):
-    """Adapter + per-pixel normalization + MSE against the teacher map.
+def align_and_loss(student_feat: np.ndarray, teacher_feat: np.ndarray, adapter: Adapter):
+    """Adapter + per-pixel L2 normalization + MSE against the teacher map.
 
     Returns (loss, gradient w.r.t. the raw student features, adapter
     parameter gradients). The teacher map is a constant target.
     """
-    if normalization not in NORMALIZATIONS:
-        raise InvalidConfig(f"normalization must be one of {NORMALIZATIONS}")
     lifted, cache = adapter.forward(student_feat)
     if lifted.shape != teacher_feat.shape:
         raise ShapeMismatch(f"adapter output {lifted.shape} vs teacher features {teacher_feat.shape}")
-    if normalization == "l2":
-        ns, aux = _normalize_l2(lifted)
-        nt, _ = _normalize_l2(teacher_feat)
-    else:
-        ns, aux = _standardize_channels(lifted)
-        nt, _ = _standardize_channels(teacher_feat)
+    ns, safe = _normalize_l2(lifted)
+    nt, _ = _normalize_l2(teacher_feat)
     loss, gn = mse_loss(ns, nt)
-    if normalization == "l2":
-        glifted = _normalize_l2_grad(gn, ns, aux)
-    else:
-        glifted = _standardize_channels_grad(gn, ns, aux)
-    gfeat, gparams = adapter.backward(glifted, cache)
+    gfeat, gparams = adapter.backward(_normalize_l2_grad(gn, ns, safe), cache)
     return loss, gfeat, gparams
 
 
@@ -228,7 +198,7 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
         for x, target in zip(inputs, targets):
             out, tape = student.forward(x, record=True)
             if adapter is not None:
-                loss, gout, adapter_grads = align_and_loss(out, target, adapter, config.normalization)
+                loss, gout, adapter_grads = align_and_loss(out, target, adapter)
             else:
                 loss, gout = _output_loss(out, target, config)
                 adapter_grads = None

@@ -79,11 +79,16 @@ class ToyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        """Config from a JSON object whose values are integers (bools excluded)."""
+        if not isinstance(d, dict):
+            raise InvalidConfig(f"config must be a JSON object, got {type(d).__name__}")
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise InvalidConfig(f"unknown config fields: {sorted(extra)}")
-        return cls(**{k: int(v) for k, v in d.items()})
+        for k, v in d.items():
+            if type(v) is not int:
+                raise InvalidConfig(f"config field {k!r} must be an integer, got {v!r}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ class PruneConfig:
             raise InvalidConfig(f"target must be one of {TARGETS}, got {self.target!r}")
         if self.d_head < 0 or self.d_pnp < 0:
             raise InvalidConfig("prune degrees must be >= 0")
+        if self.d_head and "head." not in _PREFIXES[self.target]:
+            raise InvalidConfig(f"target {self.target!r} does not prune the head, so d_head must be 0")
+        if self.d_pnp and "pnp." not in _PREFIXES[self.target]:
+            raise InvalidConfig(f"target {self.target!r} does not prune the regressor, so d_pnp must be 0")
 
 
 @dataclass(frozen=True)

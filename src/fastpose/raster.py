@@ -35,30 +35,24 @@ _CHUNK_PX = 1 << 16  # padded box pixels per array pass, at most about 85 bytes 
 class DistanceMap:
     """Per-pixel camera-space depth (mm, 0 = background) plus visibility mask.
 
-    The map holds `box`, the depth of the pixels from row `row0` and column
-    `col0` on; every pixel outside it is background. `depth` and `visible`
-    build the read-only full (height, width) frames on each access.
+    `DistanceMap(width, height, box, row0=0, col0=0)` is the one constructor:
+    the map holds `box`, the depth of the pixels from row `row0` and column
+    `col0` on, which must fit inside the (height, width) frame; every pixel
+    outside it is background. The box is made read-only. `depth` and
+    `visible` (depth > 0) build the read-only full frames on each access.
     """
 
-    def __init__(self, width: int, height: int, depth: np.ndarray, visible: np.ndarray):
-        if depth.shape != (height, width) or visible.shape != depth.shape:
-            raise ValueError("depth/visible shape must be (height, width)")
-        if not np.array_equal(visible, depth > 0):
-            raise ValueError("visible mask must equal depth > 0")
-        depth.setflags(write=False)
-        self.width, self.height, self.box, self.row0, self.col0 = width, height, depth, 0, 0
+    def __init__(self, width: int, height: int, box: np.ndarray, row0: int = 0, col0: int = 0):
+        if box.ndim != 2 or min(row0, col0) < 0 or row0 + box.shape[0] > height or col0 + box.shape[1] > width:
+            raise ValueError(f"a {box.shape} box at ({row0}, {col0}) does not fit a {height}x{width} frame")
+        box.setflags(write=False)
+        self.width, self.height, self.box, self.row0, self.col0 = width, height, box, row0, col0
 
     @staticmethod
     def from_depth(depth: np.ndarray) -> "DistanceMap":
+        """A full-frame map of a (height, width) depth array."""
         d = np.asarray(depth, dtype=np.float64)
-        return DistanceMap(d.shape[1], d.shape[0], d, d > 0)
-
-    @staticmethod
-    def _of_box(width: int, height: int, box: np.ndarray, row0: int, col0: int) -> "DistanceMap":
-        dmap = DistanceMap.__new__(DistanceMap)
-        box.setflags(write=False)
-        dmap.width, dmap.height, dmap.box, dmap.row0, dmap.col0 = width, height, box, row0, col0
-        return dmap
+        return DistanceMap(d.shape[1], d.shape[0], d)
 
     def _frame(self, box: np.ndarray) -> np.ndarray:
         frame = np.zeros((self.height, self.width), box.dtype)
@@ -108,7 +102,7 @@ def _owns(dx, dy):
 
 def render_distance_map(model: ObjectModel, pose: Pose, camera: CameraIntrinsics) -> DistanceMap:
     """Rasterize the posed mesh into a DistanceMap under `camera`."""
-    cam_pts = pose.transform(model.vertices) if len(model.vertices) else np.zeros((0, 3))
+    cam_pts = pose.transform(model.vertices)
     corners = model.triangles.T
     ahead = (cam_pts[:, 2] >= NEAR_MM)[corners]
     front = ahead[0] & ahead[1] & ahead[2]
@@ -119,7 +113,7 @@ def render_distance_map(model: ObjectModel, pose: Pose, camera: CameraIntrinsics
     with np.errstate(divide="ignore"):  # a 1 / 0 depth never wins the depth test
         zbuf, row0, col0 = _raster_triangles(pts, corners, camera)
     zbuf[zbuf == np.inf] = 0.0
-    return DistanceMap._of_box(camera.width, camera.height, zbuf, row0, col0)
+    return DistanceMap(camera.width, camera.height, zbuf, row0, col0)
 
 
 def _raster_triangles(pts: np.ndarray, corners: np.ndarray, camera: CameraIntrinsics) -> tuple[np.ndarray, int, int]:

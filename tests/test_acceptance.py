@@ -404,7 +404,7 @@ def test_07_feature_alignment_beats_controls(capsys):
 
     def align_score(student, adapter, inputs, targets):
         return float(np.mean([
-            align_and_loss(student.forward(x), t, adapter, "l2")[0]
+            align_and_loss(student.forward(x), t, adapter)[0]
             for x, t in zip(inputs, targets)
         ]))
 
@@ -434,7 +434,7 @@ def test_07_feature_alignment_beats_controls(capsys):
         for _ in range(epochs):
             for x, tgt in zip(inputs, noise_targets):
                 out, tape = noisy.forward(x, record=True)
-                _, gout, agrads = align_and_loss(out, tgt, noisy_adapter, "l2")
+                _, gout, agrads = align_and_loss(out, tgt, noisy_adapter)
                 grads, _ = noisy.backward(tape, gout)
                 sgd_step(noisy, grads, lr)
                 for key, gv in agrads.items():

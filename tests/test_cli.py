@@ -219,6 +219,18 @@ class TestBuild:
         cfg.write_text(json.dumps({"mystery": 1}))
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"regions": 4.7}, "'regions'"), ({"regions": True}, "'regions'"), ({"regions": "8"}, "'regions'"),
+        ({"regions": None}, "'regions'"), ([1], "JSON object"),
+    ])
+    def test_config_values_must_be_integers(self, tmp_path, capsys, doc, named):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPruneCommand:
     def test_prune_reduces_counts_and_writes_plan(self, tmp_path, capsys):
@@ -249,6 +261,18 @@ class TestPruneCommand:
             "--degree-head", "2", "--out", str(tmp_path / "p.json"),
         ])
         assert code == 1
+
+    def test_degree_outside_the_target_is_a_data_error(self, tmp_path, capsys):
+        model = build_model(tmp_path, "m.json")
+        capsys.readouterr()
+        out = tmp_path / "p.json"
+        code = main([
+            "prune", "--model", str(model), "--target", "head",
+            "--degree-pnp", "2", "--out", str(out),
+        ])
+        assert code == 1
+        assert "d_pnp must be 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFinetuneCommand:

@@ -185,15 +185,8 @@ class TestAlignAndLoss:
 
     def test_l2_normalization_ignores_feature_scale(self):
         feat = np.random.default_rng(6).standard_normal((3, 4, 4)).astype(np.float32)
-        loss, _, _ = align_and_loss(2.5 * feat, feat, identity_adapter(3), "l2")
+        loss, _, _ = align_and_loss(2.5 * feat, feat, identity_adapter(3))
         assert loss < 1e-10
-
-    def test_channel_standardize_ignores_affine_shift(self):
-        feat = np.random.default_rng(7).standard_normal((3, 6, 6)).astype(np.float32)
-        loss, _, _ = align_and_loss(
-            3.0 * feat + 5.0, feat, identity_adapter(3), "channel_standardize"
-        )
-        assert loss < 1e-6
 
     def test_channel_count_mismatch_rejected(self):
         student = np.zeros((2, 4, 4), np.float32)
@@ -201,22 +194,16 @@ class TestAlignAndLoss:
         with pytest.raises(ShapeMismatch):
             align_and_loss(student, teacher, identity_adapter(2))
 
-    def test_unknown_normalization_rejected(self):
-        feat = np.zeros((2, 2, 2), np.float32)
-        with pytest.raises(InvalidConfig):
-            align_and_loss(feat, feat, identity_adapter(2), "max")
-
-    @pytest.mark.parametrize("normalization", ["l2", "channel_standardize"])
-    def test_gradients_match_central_differences(self, normalization):
+    def test_gradients_match_central_differences(self):
         gen = np.random.default_rng(8)
         student = gen.standard_normal((2, 3, 3))
         teacher = gen.standard_normal((4, 3, 3))
         adapter = float64_adapter(2, 4, seed=13)
 
         def f(_=None):
-            return align_and_loss(student, teacher, adapter, normalization)[0]
+            return align_and_loss(student, teacher, adapter)[0]
 
-        _, gfeat, gparams = align_and_loss(student, teacher, adapter, normalization)
+        _, gfeat, gparams = align_and_loss(student, teacher, adapter)
         for idx in np.ndindex(student.shape):
             numeric = oracles.central_difference(f, student, idx)
             assert oracles.gradcheck_rel_err(float(gfeat[idx]), numeric) < 1e-6
@@ -446,10 +433,6 @@ class TestDistillConfig:
     def test_negative_epochs(self):
         with pytest.raises(InvalidConfig):
             DistillConfig(epochs=-1)
-
-    def test_invalid_normalization(self):
-        with pytest.raises(InvalidConfig):
-            DistillConfig(normalization="loudness")
 
 
 class TestTraceCsv:

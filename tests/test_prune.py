@@ -135,6 +135,13 @@ class TestPlanning:
         with pytest.raises(InvalidConfig):
             PruneConfig(d_head=-1)
 
+    @pytest.mark.parametrize("target, degrees", [
+        ("head", dict(d_pnp=2)), ("head", dict(d_head=1, d_pnp=1)), ("pnp", dict(d_head=1)),
+    ])
+    def test_degree_outside_the_target_rejected(self, target, degrees):
+        with pytest.raises(InvalidConfig, match="so d_"):
+            PruneConfig(target=target, **degrees)
+
 
 class TestPlanDocument:
     def test_roundtrip(self):

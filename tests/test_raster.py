@@ -382,11 +382,18 @@ class TestProperties:
 
 
 class TestDistanceMapType:
-    def test_mask_must_match_depth(self):
-        depth = np.zeros((4, 5))
-        depth[1, 2] = 700.0
-        with pytest.raises(ValueError):
-            DistanceMap(5, 4, depth, np.zeros((4, 5), dtype=bool))
+    @pytest.mark.parametrize("shape, row0, col0", [
+        ((4, 6), 0, 0), ((5, 5), 0, 0), ((2, 2), 3, 0), ((2, 2), 0, 4),
+        ((1, 1), -1, 0), ((1, 1), 0, -1), ((20,), 0, 0),
+    ])
+    def test_box_must_fit_the_frame(self, shape, row0, col0):
+        with pytest.raises(ValueError, match="does not fit"):
+            DistanceMap(5, 4, np.zeros(shape), row0, col0)
+
+    def test_box_is_placed_in_the_frame(self):
+        dm = DistanceMap(5, 4, np.array([[700.0, 0.0]]), 3, 3)
+        assert dm.box.flags.writeable is False
+        assert dm.depth[3, 3] == 700.0 and dm.visible.sum() == 1 and dm.depth.shape == (4, 5)
 
     def test_from_depth(self):
         depth = np.zeros((4, 5))

@@ -736,6 +736,12 @@ class TestToyNetwork:
         with pytest.raises(InvalidConfig):
             ToyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("value", [4.7, 4.0, True, "8", None, [4]])
+    def test_config_dict_values_must_be_integers(self, value):
+        doc = {**self.small().to_dict(), "regions": value}
+        with pytest.raises(InvalidConfig, match="'regions' must be an integer"):
+            ToyConfig.from_dict(doc)
+
     @pytest.mark.parametrize(
         "kw, message",
         [
