@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from .errors import FastposeError
 from .metrics import evaluate, instance_key, match_estimates, report_to_csv, report_to_dict
 from .net import ToyConfig, build_toy_backbone, build_toy_gdrn, build_toy_head, build_toy_pnp, count_flops, count_params, load_model, save_model
 from .prune import PruneConfig, PrunePlan, apply_prune, plan_prune
-from .raster import render_distance_map, write_pgm
+from .raster import render_distance_maps, write_pgm
 
 _BUILDERS = {
     "full": build_toy_gdrn,
@@ -62,13 +63,19 @@ def _cmd_eval(args) -> int:
         dump_dir = Path(args.dump_maps)
         dump_dir.mkdir(parents=True, exist_ok=True)
         est_by_key, _ = match_estimates(estimates, {instance_key(rec) for rec in records})
-        for rec in records:
-            key = instance_key(rec)
-            stem = f"{rec.scene_id:06d}_{rec.im_id:06d}_{rec.obj_id:06d}"
-            model = models[rec.obj_id]
-            write_pgm(render_distance_map(model, rec.pose, rec.camera), dump_dir / f"{stem}_gt.pgm")
-            if key in est_by_key:
-                write_pgm(render_distance_map(model, est_by_key[key].pose, rec.camera), dump_dir / f"{stem}_est.pgm")
+        # one render per image, of its ground-truth and scored-estimate maps
+        for _, image in itertools.groupby(sorted(records, key=instance_key), key=lambda rec: instance_key(rec)[:2]):
+            jobs, paths = [], []
+            for rec in image:
+                stem = dump_dir / f"{rec.scene_id:06d}_{rec.im_id:06d}_{rec.obj_id:06d}"
+                jobs.append((models[rec.obj_id], rec.pose, rec.camera))
+                paths.append(f"{stem}_gt.pgm")
+                est = est_by_key.get(instance_key(rec))
+                if est is not None:
+                    jobs.append((models[rec.obj_id], est.pose, rec.camera))
+                    paths.append(f"{stem}_est.pgm")
+            for dmap, path in zip(render_distance_maps(jobs), paths):
+                write_pgm(dmap, path)
     if args.format == "csv":
         _emit(report_to_csv(result.report), args.out)
     else:

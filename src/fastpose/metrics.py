@@ -9,13 +9,15 @@ strict less-than everywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter
 from .geom import _BLOCK_ELEMS, CameraIntrinsics, ObjectModel, Pose, _sq_distance_blocks, project_points
-from .raster import render_distance_map
+from .raster import DistanceMap, render_distance_maps
 
 METRIC_KINDS = ("vsd", "mssd", "mspd", "add", "add-s")
 _CHUNK_VERTICES = 1 << 13  # posed vertices per MSSD/MSPD pass: 192 KB per (n, 3) array, which stays in cache
@@ -110,32 +112,41 @@ def e_add_s(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
     return float(np.sqrt(nearest[np.argsort(order)]).mean())
 
 
-def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt: Pose, image) -> float:
-    """Max distance between the `image` of the two posed vertex sets, minimized
-    over the model's symmetry set, _CHUNK_VERTICES posed vertices per pass."""
+def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt: Pose, images) -> list[float]:
+    """For each of the `images` (functions of (n, 3) points), the max distance
+    between the images of the two posed vertex sets, minimized over the
+    model's symmetry set. One sweep of the posed symmetries serves every
+    image, _CHUNK_VERTICES posed vertices per pass."""
     v, syms = model.vertices, model.symmetries
     if len(v) == 0:
         raise EmptyModel(f"{name} needs at least one vertex")
-    est = image(pose_est.transform(v))
+    posed = pose_est.transform(v)
+    ests = [image(posed) for image in images]
     r, t = pose_gt.rotation, pose_gt.translation
     step = max(1, _CHUNK_VERTICES // len(v))
-    best = np.inf
+    best = [np.inf] * len(images)
     for s in (syms[lo:lo + step] for lo in range(0, len(syms), step)):
         # Pose.compose's arithmetic without a Pose: a product of accepted rotations may miss the 1e-6 check
         rot, trans = r @ s[:, :, :3], (r @ s[:, :, 3:])[..., 0] + t
-        gt = image((v @ rot.transpose(0, 2, 1) + trans[:, None]).reshape(-1, 3)).reshape(len(s), len(v), -1)
-        best = min(best, float(np.linalg.norm(est - gt, axis=-1).max(axis=1).min()))
+        gt = (v @ rot.transpose(0, 2, 1) + trans[:, None]).reshape(-1, 3)
+        for k, (image, est) in enumerate(zip(images, ests)):
+            dist = np.linalg.norm(est - image(gt).reshape(len(s), len(v), -1), axis=-1)
+            best[k] = min(best[k], float(dist.max(axis=1).min()))
     return best
+
+
+def _same(pts: np.ndarray) -> np.ndarray:
+    return pts
 
 
 def e_mssd(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
     """Max vertex distance, minimized over the model's symmetry set (mm)."""
-    return _min_over_symmetries("MSSD", model, pose_est, pose_gt, lambda pts: pts)
+    return _min_over_symmetries("MSSD", model, pose_est, pose_gt, [_same])[0]
 
 
 def e_mspd(model: ObjectModel, pose_est: Pose, pose_gt: Pose, camera: CameraIntrinsics) -> float:
     """Max projected vertex distance, minimized over the symmetry set (px)."""
-    return _min_over_symmetries("MSPD", model, pose_est, pose_gt, lambda pts: project_points(camera, pts))
+    return _min_over_symmetries("MSPD", model, pose_est, pose_gt, [partial(project_points, camera)])[0]
 
 
 def e_vsd(
@@ -147,15 +158,21 @@ def e_vsd(
 ) -> list[float]:
     """Depth-map disagreement fraction over the union of both footprints.
 
-    Renders the model under both poses and, for each misalignment tolerance
-    tau (mm), reports the fraction of union pixels that are not matched
-    within tau in the intersection. An empty union yields 0 for every tau.
+    Renders the model under both poses, in one render_distance_maps call,
+    and, for each misalignment tolerance tau (mm), reports the fraction of
+    union pixels that are not matched within tau in the intersection. An
+    empty union yields 0 for every tau. `evaluate` computes the same
+    fractions from the maps it renders for a whole image at once.
     """
+    d_est, d_gt = render_distance_maps([(model, pose_est, camera), (model, pose_gt, camera)])
+    return _vsd_of_maps(d_est, d_gt, taus_mm)
+
+
+def _vsd_of_maps(d_est: DistanceMap, d_gt: DistanceMap, taus_mm) -> list[float]:
+    """e_vsd of the estimate's and the ground truth's rendered maps."""
     taus = [float(t) for t in taus_mm]
     if not taus or any(t <= 0 for t in taus):
         raise ValueError("taus must be nonempty and positive")
-    d_est = render_distance_map(model, pose_est, camera)
-    d_gt = render_distance_map(model, pose_gt, camera)
     # the boxes' common rectangle holds the intersection; the union count is
     # the two footprints' counts minus it
     top, left = max(d_est.row0, d_gt.row0), max(d_est.col0, d_gt.col0)
@@ -378,8 +395,10 @@ class EvalResult:
     n_extra: int
 
 
-def _instance_errors(model: ObjectModel, est: Pose | None, gt_pose: Pose,
-                     camera: CameraIntrinsics, key: tuple, grid: ThresholdGrid) -> list[ErrorSample]:
+def _instance_errors(model: ObjectModel, est: Pose | None, gt_pose: Pose, camera: CameraIntrinsics, key: tuple,
+                     grid: ThresholdGrid, maps: tuple[DistanceMap, DistanceMap] | None) -> list[ErrorSample]:
+    """The instance's samples; `maps` are its estimate's and ground truth's
+    rendered maps, None when there is no estimate."""
     scene_id, im_id, obj_id = key
     add_kind = "add-s" if model.symmetric_flag else "add"
     if est is None:
@@ -391,12 +410,13 @@ def _instance_errors(model: ObjectModel, est: Pose | None, gt_pose: Pose,
             ErrorSample(scene_id, im_id, obj_id, add_kind),
         ]
     taus_mm = [f * model.diameter for f in grid.vsd_taus]
-    vsd = e_vsd(model, est, gt_pose, camera, taus_mm)
+    vsd = _vsd_of_maps(*maps, taus_mm)
     add_err = e_add_s(model, est, gt_pose) if model.symmetric_flag else e_add(model, est, gt_pose)
+    mssd, mspd = _min_over_symmetries("MSSD", model, est, gt_pose, [_same, partial(project_points, camera)])
     return [
         ErrorSample(scene_id, im_id, obj_id, "vsd", vsd_errors=tuple(vsd)),
-        ErrorSample(scene_id, im_id, obj_id, "mssd", error_value=e_mssd(model, est, gt_pose)),
-        ErrorSample(scene_id, im_id, obj_id, "mspd", error_value=e_mspd(model, est, gt_pose, camera)),
+        ErrorSample(scene_id, im_id, obj_id, "mssd", error_value=mssd),
+        ErrorSample(scene_id, im_id, obj_id, "mspd", error_value=mspd),
         ErrorSample(scene_id, im_id, obj_id, add_kind, error_value=add_err),
     ]
 
@@ -430,7 +450,10 @@ def evaluate(estimates, ground_truth, models: dict[int, ObjectModel],
     `estimates` and `ground_truth` may be any iterables; each is read once.
     Estimates are matched by `match_estimates`: estimates with no ground
     truth are counted but ignored, and ground truth with no estimate
-    contributes +inf errors. Instances are scored serially in key order.
+    contributes +inf errors. Instances are scored serially in key order,
+    one image (scene_id, im_id) at a time: the depth maps of an image's
+    scored instances, estimate and ground truth, are rendered in one
+    render_distance_maps call, and only one image's maps are held at once.
     All images must share one width so a single projection-threshold unit
     applies.
     """
@@ -455,10 +478,13 @@ def evaluate(estimates, ground_truth, models: dict[int, ObjectModel],
 
     est_by_key, n_extra = match_estimates(estimates, gt_by_key)
     samples = []
-    for key, rec in gt_by_key.items():
-        est = est_by_key.get(key)
-        samples += _instance_errors(models[rec.obj_id], None if est is None else est.pose,
-                                    rec.pose, rec.camera, key, grid)
+    for _, image in itertools.groupby(gt_by_key.items(), key=lambda item: item[0][:2]):
+        image = [(key, rec, est_by_key[key].pose if key in est_by_key else None) for key, rec in image]
+        maps = iter(render_distance_maps([(models[rec.obj_id], pose, rec.camera)
+                                          for _, rec, est in image if est is not None for pose in (est, rec.pose)]))
+        for key, rec, est in image:
+            samples += _instance_errors(models[rec.obj_id], est, rec.pose, rec.camera, key, grid,
+                                        None if est is None else (next(maps), next(maps)))
     diameters = {obj_id: m.diameter for obj_id, m in models.items()}
     report = average_recall(samples, grid, diameters)
     return EvalResult(

@@ -9,7 +9,7 @@ import oracles
 from conftest import peak_traced_bytes, random_mesh, random_model, random_pose, random_symmetries, small_camera
 from fastpose import geom, metrics
 from fastpose.datio import EstimateRecord, GroundTruthRecord
-from fastpose.errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter
+from fastpose.errors import EmptyInput, EmptyModel, InvalidConfig, LengthMismatch, MissingDiameter, NonPositiveDepth
 from fastpose.geom import CameraIntrinsics, Pose, make_model
 from fastpose.metrics import (
     ARReport,
@@ -664,6 +664,46 @@ class TestEvaluate:
         streamed = evaluate(iter(est), gt, models)
         assert streamed.n_extra == listed.n_extra == 1
         assert streamed.samples == listed.samples
+
+    def test_samples_equal_the_per_instance_errors(self):
+        # images of one to three instances, each record with its own camera height
+        # and focal length; one instance has no estimate
+        gen = np.random.default_rng(79)
+        models = {}
+        for obj_id in (1, 2, 3):
+            m = random_mesh(gen, max_vertices=12, max_triangles=16)
+            models[obj_id] = make_model(m.vertices, m.triangles, random_symmetries(gen, 3), symmetric_flag=obj_id == 2)
+        gt, est = [], []
+        for scene_id, im_id, obj_ids in [(2, 0, (1, 3)), (1, 1, (2,)), (1, 0, (3, 1, 2))]:
+            for obj_id in obj_ids:
+                cam = small_camera(height=int(gen.integers(16, 40)), fx=gen.uniform(30.0, 60.0))
+                pose = random_pose(gen, z_range=(300.0, 700.0))
+                gt.append(GroundTruthRecord(scene_id, im_id, obj_id, pose, cam))
+                if (scene_id, obj_id) != (2, 3):
+                    moved = Pose(pose.rotation, pose.translation + gen.normal(0.0, 8.0, 3))
+                    est.append(EstimateRecord(scene_id, im_id, obj_id, 0.5, moved))
+        res = evaluate(est, gt, models)
+        grid, chosen = res.report.grid, {(e.scene_id, e.im_id, e.obj_id): e.pose for e in est}
+        want = []
+        for rec in sorted(gt, key=lambda r: (r.scene_id, r.im_id, r.obj_id)):
+            key, m = (rec.scene_id, rec.im_id, rec.obj_id), models[rec.obj_id]
+            add_kind = "add-s" if m.symmetric_flag else "add"
+            p = chosen.get(key)
+            if p is None:
+                want += [ErrorSample(*key, "vsd", vsd_errors=(np.inf,) * len(grid.vsd_taus)),
+                         ErrorSample(*key, "mssd"), ErrorSample(*key, "mspd"), ErrorSample(*key, add_kind)]
+                continue
+            vsd = e_vsd(m, p, rec.pose, rec.camera, [f * m.diameter for f in grid.vsd_taus])
+            add = e_add_s(m, p, rec.pose) if m.symmetric_flag else e_add(m, p, rec.pose)
+            want += [ErrorSample(*key, "vsd", vsd_errors=tuple(vsd)),
+                     ErrorSample(*key, "mssd", error_value=e_mssd(m, p, rec.pose)),
+                     ErrorSample(*key, "mspd", error_value=e_mspd(m, p, rec.pose, rec.camera)),
+                     ErrorSample(*key, add_kind, error_value=add)]
+        assert res.samples == tuple(want)
+        assert any(0.0 < s.vsd_errors[0] < 1.0 for s in res.samples if s.metric_kind == "vsd")
+        behind = EstimateRecord(1, 1, 2, 0.9, Pose(np.eye(3), np.array([0.0, 0.0, -500.0])))
+        with pytest.raises(NonPositiveDepth):
+            evaluate(est + [behind], gt, models)
 
     def test_default_grid_uses_image_width(self):
         models, gt, est = tiny_scene(n_images=1, obj_ids=(1,))

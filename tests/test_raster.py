@@ -7,7 +7,7 @@ import oracles
 from conftest import peak_traced_bytes, random_mesh, random_pose, small_camera
 from fastpose import raster
 from fastpose.geom import CameraIntrinsics, ObjectModel, Pose, make_model
-from fastpose.raster import NEAR_MM, DistanceMap, _clip_near, render_distance_map, write_pgm
+from fastpose.raster import NEAR_MM, DistanceMap, _clip_near, render_distance_map, render_distance_maps, write_pgm
 
 IDENTITY = Pose.identity()
 
@@ -313,6 +313,92 @@ class TestAgainstTriangleLoop:
         assert got.visible.all()
 
 
+def assert_batch_equals_singles(jobs):
+    """render_distance_maps(jobs) equals one render_distance_map per job, byte for byte."""
+    got = render_distance_maps(jobs)
+    assert len(got) == len(jobs)
+    for i, (job, g) in enumerate(zip(jobs, got)):
+        want = render_distance_map(*job)
+        assert (g.width, g.height, g.row0, g.col0, g.box.shape) == (
+            want.width, want.height, want.row0, want.col0, want.box.shape), i
+        assert g.box.tobytes() == want.box.tobytes(), i
+        assert not g.box.flags.writeable, i
+    return got
+
+
+class TestBatch:
+    """One render_distance_maps call for many (model, pose, camera) jobs."""
+
+    @pytest.mark.parametrize("batch", [raster._BATCH_TRIANGLES, 40, 1])
+    def test_random_batches_match_the_singles_and_the_loop(self, monkeypatch, batch):
+        # random_scene draws each job's camera and frame size, so the boxes'
+        # widths differ; kind 1 near-clips, kind 3 often keeps nothing
+        monkeypatch.setattr(raster, "_BATCH_TRIANGLES", batch)
+        gen = np.random.default_rng(67)
+        for case in range(60):
+            jobs = [random_scene(gen, int(gen.integers(0, 4))) for _ in range(int(gen.integers(1, 7)))]
+            for job, got in zip(jobs, assert_batch_equals_singles(jobs)):
+                assert got.depth.tobytes() == oracles.raster_loop(*job).tobytes(), case
+
+    def test_empty_map_between_non_empty_ones(self):
+        _, _, quad = screen_quad_models()
+        empty = make_model(np.zeros((3, 3)), [[0, 1, 2]])
+        wide = make_model(screen_vertices([(3, 2, 1.0), (25, 4, 2.0), (6, 9, 1.5)]), [[0, 1, 2]])
+        jobs = [(quad, IDENTITY, screen_camera(40, 30)), (empty, IDENTITY, screen_camera()),
+                (wide, IDENTITY, unit_camera(30, 12))]
+        a, b, c = assert_batch_equals_singles(jobs)
+        assert (b.row0, b.col0, b.box.shape) == (0, 0, (0, 0)) and not b.visible.any()
+        assert a.box.shape[1] != c.box.shape[1] and a.visible.any() and c.visible.any()
+
+    def test_no_job_keeps_a_triangle(self):
+        empty = make_model(np.zeros((3, 3)), [[0, 1, 2]])
+        none = ObjectModel(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), diameter=0.0)
+        maps = assert_batch_equals_singles([(empty, IDENTITY, small_camera()), (none, IDENTITY, screen_camera())])
+        assert all(m.box.shape == (0, 0) for m in maps)
+        assert render_distance_maps([]) == []
+
+    def test_near_clipped_triangles_stay_in_their_own_map(self):
+        cam = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
+        straddling = make_model(np.array([[-0.1, -0.1, -1.0], [0.3, 0.0, 3.0], [0.0, 0.3, 3.0]]), [[0, 1, 2]])
+        _, _, quad = screen_quad_models()
+        maps = assert_batch_equals_singles([(quad, IDENTITY, screen_camera()), (straddling, IDENTITY, cam),
+                                            (quad, IDENTITY, cam)])
+        assert maps[1].visible.sum() > 50
+
+    @pytest.mark.parametrize("chunk, camera", [
+        (raster._CHUNK_PX, vga_camera()),  # a size class larger than a chunk
+        (7, CameraIntrinsics(fx=30.0, fy=30.0, cx=20.0, cy=15.0, width=40, height=30)),
+    ])
+    def test_size_classes_tiled_past_a_chunk(self, monkeypatch, chunk, camera):
+        # the screen-filling grid's triangles each cover more than `chunk` pixels
+        monkeypatch.setattr(raster, "_CHUNK_PX", chunk)
+        gen = np.random.default_rng(71)
+        jobs = [random_scene(gen, 0), (screen_filling_grid(1), IDENTITY, camera), random_scene(gen, 1)]
+        maps = assert_batch_equals_singles(jobs)
+        assert maps[1].visible.all()
+        for job, got in zip(jobs, maps):
+            assert got.depth.tobytes() == oracles.raster_loop(*job).tobytes()
+
+    def test_jobs_share_a_pass_loop_up_to_the_triangle_bound(self, monkeypatch):
+        monkeypatch.setattr(raster, "_BATCH_TRIANGLES", 40)
+        calls = []
+        real = raster._raster_triangles
+
+        def spy(proj, corners, job, last):
+            calls.append(last.shape[1])
+            return real(proj, corners, job, last)
+
+        monkeypatch.setattr(raster, "_raster_triangles", spy)
+        gen = np.random.default_rng(73)
+        verts = gen.uniform(-40.0, 40.0, (12, 3))
+        jobs = [(make_model(verts, [gen.choice(12, 3, replace=False) for _ in range(k)]),
+                 random_pose(gen, z_range=(300.0, 600.0)), small_camera()) for k in (10, 20, 50, 5, 5)]
+        maps = render_distance_maps(jobs)
+        # 10 + 20 fit in 40 triangles; 50 is alone; 5 + 5
+        assert calls == [2, 1, 2]
+        assert [m.depth.tobytes() for m in maps] == [oracles.raster_loop(*job).tobytes() for job in jobs]
+
+
 class TestMemory:
     def test_40k_triangle_render_stays_bounded(self):
         m = screen_filling_grid(100)
@@ -321,6 +407,16 @@ class TestMemory:
         peak = peak_traced_bytes(lambda: out.setdefault("map", render_distance_map(m, IDENTITY, vga_camera())))
         assert out["map"].visible.all()
         assert peak <= 48 * 2**20
+
+    def test_many_jobs_stay_bounded(self):
+        # 24 jobs of 1024 triangles: without the per-pass-loop triangle bound
+        # the batch peaks at about 12.7 MB, with it at about 4.2 MB
+        cam = CameraIntrinsics(fx=50.0, fy=50.0, cx=31.5, cy=23.5, width=64, height=48)
+        jobs = [(screen_filling_grid(16), IDENTITY, cam)] * 24
+        out = {}
+        peak = peak_traced_bytes(lambda: out.setdefault("maps", render_distance_maps(jobs)))
+        assert all(m.visible.all() for m in out["maps"])
+        assert peak <= 6 * 2**20
 
 
 class TestNearClip:
@@ -401,6 +497,12 @@ class TestDistanceMapType:
         dm = DistanceMap.from_depth(depth)
         assert dm.width == 5 and dm.height == 4
         assert dm.visible[1, 2] and dm.visible.sum() == 1
+
+    def test_from_depth_leaves_the_callers_array_alone(self):
+        depth = np.zeros((2, 3))
+        dm = DistanceMap.from_depth(depth)
+        depth[0, 0] = 1.0
+        assert depth.flags.writeable and not dm.visible.any()
 
 
 class TestPgm:
