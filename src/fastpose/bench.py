@@ -3,6 +3,8 @@
 Latency is the one deliberately non-reproducible quantity in the toolkit:
 times come from perf_counter_ns on whatever machine runs the bench. Every
 other number in a bench record (flops, params) is deterministic.
+`format_latency_csv` and `format_report_csv` return the CSV text; the CLI
+writes it.
 """
 
 from __future__ import annotations
@@ -61,11 +63,12 @@ def measure_latency(graph: LayerGraph, iterations: int = DEFAULT_ITERATIONS, war
                          flops=flops.total_macs, params=count_params(graph))
 
 
-def write_latency_csv(path, records: list[LatencyRecord]) -> None:
+def format_latency_csv(records: list[LatencyRecord]) -> str:
+    """Latency CSV text: one row per record, times at full float precision."""
     lines = ["label,mean_ms,median_ms,iterations,flops,params"]
     for r in records:
         lines.append(f"{r.label},{r.mean_ms:.17g},{r.median_ms:.17g},{len(r.times_ms)},{r.flops},{r.params}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _dominated(points: list[tuple[float, float]]) -> list[bool]:
@@ -99,10 +102,6 @@ def format_report_csv(runs: list[RunRecord]) -> str:
         lines.append(f"{run.label},{run.ar:.17g},{run.mean_ms:.17g},{run.median_ms:.17g},"
                      f"{run.flops},{run.params},{'true' if dominated else 'false'}")
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(path, runs: list[RunRecord]) -> None:
-    Path(path).write_text(format_report_csv(runs), encoding="utf-8")
 
 
 def read_runs_csv(path) -> list[RunRecord]:

@@ -15,13 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import format_report_csv, measure_latency, read_runs_csv, write_latency_csv, write_report_csv
+from .bench import format_latency_csv, format_report_csv, measure_latency, read_runs_csv
 from .datio import load_object_models, parse_gt_json, parse_result_csv
-from .distill import Adapter, DistillConfig, distill_train, fine_tune, make_input_sampler, write_trace_csv
+from .distill import Adapter, DistillConfig, distill_train, fine_tune, format_trace_csv, make_input_sampler
 from .errors import FastposeError
 from .metrics import evaluate, instance_key, match_estimates, report_to_csv, report_to_dict
 from .net import ToyConfig, build_toy_backbone, build_toy_gdrn, build_toy_head, build_toy_pnp, count_flops, count_params, load_model, save_model
-from .prune import PruneConfig, PrunePlan, apply_prune, plan_prune
+from .prune import PruneConfig, apply_prune, plan_prune
 from .raster import render_distance_maps, write_pgm
 
 _BUILDERS = {
@@ -33,6 +33,7 @@ _BUILDERS = {
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, creating missing parent directories, or to stdout."""
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text, encoding="utf-8")
@@ -117,7 +118,7 @@ def _cmd_prune(args) -> int:
     pruned = apply_prune(graph, plan)
     save_model(pruned, args.out)
     if args.plan:
-        Path(args.plan).write_text(_json_text(plan.to_dict()), encoding="utf-8")
+        _emit(_json_text(plan.to_dict()), args.plan)
     before, after = count_flops(graph), count_flops(pruned)
     sys.stdout.write(_json_text({
         "model": str(args.out),
@@ -137,7 +138,7 @@ def _train(args, student, train, **summary) -> int:
     _, trace = train(inputs)
     save_model(student, args.out)
     if args.trace:
-        write_trace_csv(args.trace, trace)
+        _emit(format_trace_csv(trace), args.trace)
     sys.stdout.write(_json_text({
         "model": str(args.out),
         "epochs": len(trace),
@@ -180,7 +181,7 @@ def _cmd_bench(args) -> int:
     record = measure_latency(graph, iterations=args.iterations, warmup=args.warmup,
                              label=args.label, seed=args.seed)
     if args.out:
-        write_latency_csv(args.out, [record])
+        _emit(format_latency_csv([record]), args.out)
     sys.stdout.write(_json_text({
         "label": record.label,
         "iterations": len(record.times_ms),
@@ -193,11 +194,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    runs = read_runs_csv(args.runs)
-    if args.out:
-        write_report_csv(args.out, runs)
-    else:
-        sys.stdout.write(format_report_csv(runs))
+    _emit(format_report_csv(read_runs_csv(args.runs)), args.out)
     return 0
 
 

@@ -12,13 +12,13 @@ Two routes move knowledge from a teacher graph into a student:
 
 fine_tune is the same loop with the unpruned reference model as teacher
 and the MSE route, which is how pruned models recover accuracy.
+format_trace_csv turns a loop's per-epoch loss trace into CSV text.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -218,7 +218,8 @@ def fine_tune(pruned: LayerGraph, reference: LayerGraph, config: DistillConfig,
     return distill_train(reference, pruned, None, replace(config, loss_kind="mse"), inputs)
 
 
-def write_trace_csv(path, trace) -> None:
+def format_trace_csv(trace) -> str:
+    """Loss-trace CSV text: one row per epoch's mean loss."""
     lines = ["epoch,mean_loss"]
     lines += [f"{i},{loss:.17g}" for i, loss in enumerate(trace)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"

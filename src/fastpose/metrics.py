@@ -10,7 +10,7 @@ strict less-than everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -291,10 +291,10 @@ class ObjectRecall:
     ar_mspd: float
     ar_add: float | None
     add_kind: str | None
-    vsd_table: tuple[tuple[float, ...], ...]  # [tau index][correctness index]
-    mssd_table: tuple[float, ...]
-    mspd_table: tuple[float, ...]
-    add_table: tuple[float, ...]
+    vsd_recall: tuple[tuple[float, ...], ...]  # [tau index][correctness index]
+    mssd_recall: tuple[float, ...]
+    mspd_recall: tuple[float, ...]
+    add_recall: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -362,10 +362,10 @@ def average_recall(samples, grid: ThresholdGrid, diameters: dict[int, float]) ->
                 ar_mspd=float(mspd.mean()),
                 ar_add=None if add is None else float(add.mean()),
                 add_kind=add_kind,
-                vsd_table=tuple(tuple(row) for row in vsd.tolist()),
-                mssd_table=tuple(mssd.tolist()),
-                mspd_table=tuple(mspd.tolist()),
-                add_table=() if add is None else tuple(add.tolist()),
+                vsd_recall=tuple(tuple(row) for row in vsd.tolist()),
+                mssd_recall=tuple(mssd.tolist()),
+                mspd_recall=tuple(mspd.tolist()),
+                add_recall=() if add is None else tuple(add.tolist()),
             )
         )
 
@@ -496,40 +496,18 @@ def evaluate(estimates, ground_truth, models: dict[int, ObjectModel],
     )
 
 
+def _field_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def report_to_dict(report: ARReport) -> dict:
-    """JSON-ready representation of an ARReport."""
-    return {
-        "ar_vsd": report.ar_vsd,
-        "ar_mssd": report.ar_mssd,
-        "ar_mspd": report.ar_mspd,
-        "ar_bop": report.ar_bop,
-        "ar_add": report.ar_add,
-        "n_instances": report.n_instances,
-        "grid": {
-            "vsd_taus": list(report.grid.vsd_taus),
-            "vsd_correctness": list(report.grid.vsd_correctness),
-            "mssd_correctness": list(report.grid.mssd_correctness),
-            "mspd_correctness": list(report.grid.mspd_correctness),
-            "add_correctness": list(report.grid.add_correctness),
-            "image_width": report.grid.image_width,
-        },
-        "per_object": [
-            {
-                "obj_id": o.obj_id,
-                "n_instances": o.n_instances,
-                "ar_vsd": o.ar_vsd,
-                "ar_mssd": o.ar_mssd,
-                "ar_mspd": o.ar_mspd,
-                "ar_add": o.ar_add,
-                "add_kind": o.add_kind,
-                "vsd_recall": [list(row) for row in o.vsd_table],
-                "mssd_recall": list(o.mssd_table),
-                "mspd_recall": list(o.mspd_table),
-                "add_recall": list(o.add_table),
-            }
-            for o in report.per_object
-        ],
-    }
+    """JSON-ready representation of an ARReport: its fields by name, with the
+    grid's and each ObjectRecall's fields nested the same way (tuples are
+    written as JSON arrays)."""
+    payload = _field_dict(report)
+    payload["grid"] = _field_dict(report.grid)
+    payload["per_object"] = [_field_dict(o) for o in report.per_object]
+    return payload
 
 
 def report_to_csv(report: ARReport) -> str:
@@ -542,12 +520,12 @@ def report_to_csv(report: ARReport) -> str:
     for o in report.per_object:
         for k, tau in enumerate(report.grid.vsd_taus):
             for j, thr in enumerate(report.grid.vsd_correctness):
-                row("object", o.obj_id, "vsd", tau, thr, o.vsd_table[k][j])
-        for thr, rec in zip(report.grid.mssd_correctness, o.mssd_table):
+                row("object", o.obj_id, "vsd", tau, thr, o.vsd_recall[k][j])
+        for thr, rec in zip(report.grid.mssd_correctness, o.mssd_recall):
             row("object", o.obj_id, "mssd", "", thr, rec)
-        for thr, rec in zip(report.grid.mspd_correctness, o.mspd_table):
+        for thr, rec in zip(report.grid.mspd_correctness, o.mspd_recall):
             row("object", o.obj_id, "mspd", "", thr, rec)
-        for thr, rec in zip(report.grid.add_correctness, o.add_table):
+        for thr, rec in zip(report.grid.add_correctness, o.add_recall):
             row("object", o.obj_id, o.add_kind, "", thr, rec)
         row("object", o.obj_id, "ar_vsd", "", "", o.ar_vsd)
         row("object", o.obj_id, "ar_mssd", "", "", o.ar_mssd)

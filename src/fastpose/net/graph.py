@@ -147,16 +147,6 @@ class LayerGraph:
     def params(self) -> Gradients:
         return {l.name: l.params() for l in self.layers if l.params()}
 
-    def astype(self, dtype) -> "LayerGraph":
-        """Copy of the graph with all parameters cast to dtype."""
-        import copy
-
-        g = copy.deepcopy(self)
-        for layer in g.layers:
-            for key, val in layer.params().items():
-                layer.set_param(key, val.astype(dtype))
-        return g
-
 
 @dataclass(frozen=True)
 class FlopCounts:

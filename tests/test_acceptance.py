@@ -215,7 +215,7 @@ def test_03_threshold_grids_and_hand_recall_fixture(capsys):
     for key, want in expected.items():
         if abs(got[key] - want) > 1e-12:
             failures.append(f"{key}: {got[key]!r} != {want!r}")
-    table = rep.per_object[0].vsd_table
+    table = rep.per_object[0].vsd_recall
     if len(table) != 10 or any(len(row) != 10 for row in table):
         failures.append("per-object vsd recall table is not 10x10")
 

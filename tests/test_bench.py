@@ -11,12 +11,12 @@ import pytest
 from fastpose.bench import (
     LatencyRecord,
     RunRecord,
+    format_latency_csv,
     format_report_csv,
     measure_latency,
     read_runs_csv,
-    write_latency_csv,
-    write_report_csv,
 )
+from fastpose.cli import main
 from fastpose.errors import EmptyInput, InvalidConfig, MalformedLine
 from fastpose.net import LayerGraph, ToyConfig, build_toy_head, count_flops, count_params
 
@@ -141,11 +141,9 @@ class TestFlopsAcrossPruneDegrees:
 
 
 class TestLatencyCsv:
-    def test_format(self, tmp_path):
+    def test_format(self):
         rec = LatencyRecord(label="m", times_ms=(2.0, 4.0, 9.0), flops=100, params=7)
-        path = tmp_path / "lat.csv"
-        write_latency_csv(path, [rec])
-        lines = path.read_text().splitlines()
+        lines = format_latency_csv([rec]).splitlines()
         assert lines[0] == "label,mean_ms,median_ms,iterations,flops,params"
         assert lines[1] == "m,5,4,3,100,7"
 
@@ -195,13 +193,14 @@ class TestReportCsv:
         ]
 
     def test_write_matches_format(self, tmp_path):
-        path = tmp_path / "report.csv"
-        write_report_csv(path, self.runs())
+        runs_path, path = tmp_path / "runs.csv", tmp_path / "report.csv"
+        runs_path.write_text(format_report_csv(self.runs()))
+        assert main(["report", "--runs", str(runs_path), "--out", str(path)]) == 0
         assert path.read_text() == format_report_csv(self.runs())
 
     def test_roundtrip_through_reader(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report_csv(path, self.runs())
+        path.write_text(format_report_csv(self.runs()))
         again = read_runs_csv(path)
         assert again == self.runs()
 

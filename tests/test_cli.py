@@ -169,6 +169,36 @@ class TestEval:
             assert main(eval_args(gt, meshes, results, "--format", "csv", "--out", str(out))) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_csv_and_json_reports_agree(self, tmp_path, capsys):
+        gt, meshes, results = eval_fixture(tmp_path)
+        # shifted estimates, so the recall tables mix hits and misses
+        results.write_text("scene_id,im_id,obj_id,score,R,t,time\n"
+                           "1,1,1,0.9,1 0 0 0 1 0 0 0 1,-15 -20 300,0.05\n"
+                           "1,2,2,0.8,1 0 0 0 1 0 0 0 1,-20 -20 352,0.04\n")
+        assert main(eval_args(gt, meshes, results)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(eval_args(gt, meshes, results, "--format", "csv")) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        grid = doc["grid"]
+        objects = {o["obj_id"]: o for o in doc["per_object"]}
+        for scope, obj_id, metric, tau, threshold, value in rows:
+            if scope == "dataset":
+                want = doc[metric]
+            elif metric.startswith("ar_"):
+                want = objects[int(obj_id)][metric]
+            elif metric == "vsd":
+                table = objects[int(obj_id)]["vsd_recall"]
+                want = table[grid["vsd_taus"].index(float(tau))][grid["vsd_correctness"].index(float(threshold))]
+            else:  # mssd, mspd, or the object's add_kind
+                obj = objects[int(obj_id)]
+                kind = "add" if metric == obj["add_kind"] else metric
+                want = obj[f"{kind}_recall"][grid[f"{kind}_correctness"].index(float(threshold))]
+            assert float(value) == want, (scope, obj_id, metric, tau, threshold)
+        # and every JSON value has its CSV row
+        per_object = [100 + 10 + 10 + len(o["add_recall"]) + 3 + (o["ar_add"] is not None) for o in objects.values()]
+        assert len(rows) == sum(per_object) + 4 + (doc["ar_add"] is not None)
+        assert 0 < doc["ar_bop"] < 1 and 0 < doc["ar_add"] < 1
+
     def test_dump_maps_writes_named_pgms(self, tmp_path, capsys):
         gt, meshes, results = eval_fixture(tmp_path, with_second_estimate=False)
         dump = tmp_path / "maps"
@@ -440,3 +470,48 @@ class TestReportCommand:
     def test_empty_runs_is_a_data_error(self, tmp_path, capsys):
         runs = self.runs_csv(tmp_path, "label,ar,latency_ms\n")
         assert main(["report", "--runs", str(runs)]) == 1
+
+
+class TestNestedOutputPaths:
+    """Every file option creates missing parent directories and writes the
+    same text there as into an existing directory."""
+
+    def write_both(self, tmp_path, args, flag, name):
+        flat, nested = tmp_path / name, tmp_path / "a" / "b" / name
+        for path in (flat, nested):
+            assert main([*args, flag, str(path)]) == 0
+        assert nested.read_text() == flat.read_text()
+        return nested.read_text()
+
+    def test_prune_plan(self, tmp_path, capsys):
+        model = build_model(tmp_path, "m.json", module="pnp")
+        text = self.write_both(tmp_path, ["prune", "--model", str(model), "--target", "pnp", "--degree-pnp", "1",
+                                          "--out", str(tmp_path / "p.json")], "--plan", "plan.json")
+        assert PrunePlan.from_dict(json.loads(text)).removed
+
+    @pytest.mark.parametrize("command", ["finetune", "distill"])
+    def test_training_trace(self, command, tmp_path, capsys):
+        a = build_model(tmp_path, "a.json", module="pnp", seed=1)
+        b = build_model(tmp_path, "b.json", module="pnp", seed=2)
+        models = ["--model", str(b), "--reference", str(a)] if command == "finetune" else \
+            ["--teacher", str(a), "--student", str(b), "--loss", "mse"]
+        text = self.write_both(tmp_path, [command, *models, "--epochs", "2", "--samples", "2",
+                                          "--out", str(tmp_path / "o.json")], "--trace", "trace.csv")
+        assert text.splitlines()[0] == "epoch,mean_loss" and len(text.splitlines()) == 3
+
+    def test_bench_out(self, tmp_path, capsys):
+        model = build_model(tmp_path, "m.json", module="pnp")
+        capsys.readouterr()
+        out = tmp_path / "a" / "b" / "latency.csv"
+        assert main(["bench", "--model", str(model), "--iterations", "3", "--warmup", "0",
+                     "--label", "tiny", "--out", str(out)]) == 0
+        p = json.loads(capsys.readouterr().out)
+        assert out.read_text() == ("label,mean_ms,median_ms,iterations,flops,params\n"
+                                   f"tiny,{p['mean_ms']:.17g},{p['median_ms']:.17g},3,{p['flops']},{p['params']}\n")
+
+    def test_report_out(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("label,ar,latency_ms\nfull,0.8,100\npruned,0.7,150\n")
+        assert main(["report", "--runs", str(runs)]) == 0
+        assert self.write_both(tmp_path, ["report", "--runs", str(runs)], "--out", "report.csv") == \
+            capsys.readouterr().out

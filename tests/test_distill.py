@@ -13,12 +13,12 @@ from fastpose.distill import (
     align_and_loss,
     distill_train,
     fine_tune,
+    format_trace_csv,
     kl_loss,
     make_input_sampler,
     mse_loss,
     sgd_step,
     soften,
-    write_trace_csv,
 )
 from fastpose.errors import (
     EmptyInput,
@@ -436,15 +436,11 @@ class TestDistillConfig:
 
 
 class TestTraceCsv:
-    def test_format(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, [0.5, 0.25])
-        lines = path.read_text().splitlines()
+    def test_format(self):
+        lines = format_trace_csv([0.5, 0.25]).splitlines()
         assert lines[0] == "epoch,mean_loss"
         assert lines[1] == "0,0.5"
         assert lines[2] == "1,0.25"
 
-    def test_empty_trace_writes_header_only(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, [])
-        assert path.read_text() == "epoch,mean_loss\n"
+    def test_empty_trace_writes_header_only(self):
+        assert format_trace_csv([]) == "epoch,mean_loss\n"

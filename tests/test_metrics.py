@@ -488,10 +488,10 @@ class TestAverageRecall:
         assert rep.ar_add == 1.0
         assert rep.n_instances == 4
 
-    def test_vsd_table_is_10_by_10(self):
+    def test_vsd_recall_is_10_by_10(self):
         grid = ThresholdGrid.bop_default()
         rep = average_recall(perfect_samples(1, 2, grid), grid, {1: 50.0})
-        table = rep.per_object[0].vsd_table
+        table = rep.per_object[0].vsd_recall
         assert len(table) == 10 and all(len(row) == 10 for row in table)
 
     def test_mspd_27r_scores_half(self):

@@ -395,14 +395,6 @@ class TestGradCheck:
                 assert grads[name][key].dtype == np.float64
                 np.testing.assert_array_equal(grads[name][key], arr)
 
-    def test_astype_converts_all_params(self):
-        g = build_toy_head(
-            ToyConfig(backbone_width=8, head_width=16, pnp_width=8, regions=4)
-        ).astype(np.float64)
-        for params in g.params().values():
-            for arr in params.values():
-                assert arr.dtype == np.float64
-
 
 def upsample_conv(name, src, gen, cin, cout, dtype=np.float64, kernel=3, stride=1, padding=1):
     """[Upsample2xNearest name.up <- src, Conv2D name <- name.up]."""
