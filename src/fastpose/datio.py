@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,7 +129,7 @@ def _element_count(text: str, line_no: int) -> int:
     return count
 
 
-_PLY_CHUNK_LINES = 1 << 9  # body lines tokenised at once: their token lists take about 150 KB
+_PLY_CHUNK_LINES = 1 << 9  # body lines read at once: a fallback chunk's token lists take about 150 KB
 
 
 def _vertex_line(line: str, line_no: int, props: int, xyz: list[int]) -> None:
@@ -152,31 +153,62 @@ def _face_line(line: str, line_no: int, n_vertices: int) -> None:
         idx = [int(p) for p in parts[1 : 1 + count]]
     except (ValueError, IndexError) as exc:
         raise MalformedLine(line_no, str(exc)) from exc
-    if count != 3 or len(parts) != 4:
+    if count != 3:
         raise UnsupportedFormat(f"line {line_no}: only triangle faces are supported")
+    if len(parts) != 4:
+        raise MalformedLine(line_no, f"triangle face needs 3 vertex indices, got {len(parts) - 1}")
     if min(idx) < 0 or max(idx) >= n_vertices:
         raise IndexOutOfRange(f"line {line_no}: vertex index outside 0..{n_vertices - 1}")
+
+
+def _cast_tokens(chunk: list[str], width: int, dtype) -> np.ndarray | None:
+    """The chunk's lines as one array, or None unless every line holds
+    exactly `width` tokens and every token converts. NumPy's string casts
+    call Python's float() and int(), so this accepts what the per-line rules
+    accept, with the same values."""
+    tokens = list(map(str.split, chunk))
+    if list(map(len, tokens)).count(width) != len(tokens):
+        return None
+    try:
+        return np.array(tokens, dtype)
+    except (ValueError, OverflowError):  # an int beyond int64 still has to name its line
+        return None
+
+
+def _read_chunk(chunk: list[str], width: int, dtype) -> np.ndarray | None:
+    """The chunk's lines as one (len(chunk), width) array, or None.
+
+    np.loadtxt, NumPy's C tokenizer and converter, reads it first. Its
+    floats come from the correctly rounded conversion float() uses and its
+    integers are exact, so the values are the token cast's; it refuses more
+    (underscores, non-ASCII digits) and skips blank lines, so a chunk it
+    refuses or shortens goes through _cast_tokens instead.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" and the like refuse the chunk
+            part = np.loadtxt(chunk, dtype, comments=None, ndmin=2)
+        if part.shape == (len(chunk), width):
+            return part
+    except (ValueError, OverflowError, Warning):
+        pass
+    return _cast_tokens(chunk, width, dtype)
 
 
 def _element_rows(lines: list[str], first_line_no: int, width: int, dtype, valid, line_rules) -> np.ndarray:
     """An element's body lines as one (len(lines), width) array.
 
-    Each chunk of _PLY_CHUNK_LINES lines is split into tokens, every line
-    must hold exactly `width` of them, and the chunk is converted by one
-    np.array call. NumPy's string casts call Python's float() and int(), so
-    they accept what `line_rules` accepts, with the same values. Only when a
-    count, a conversion or the array check `valid` fails does `line_rules`
-    run line by line, to raise that line's error with its number.
+    The body is read _PLY_CHUNK_LINES lines at a time by _read_chunk. Only
+    when a chunk cannot be read or the array check `valid` fails does
+    `line_rules` run line by line, to raise that line's error with its number.
     """
     rows = np.empty((len(lines), width), dtype)
     for lo in range(0, len(lines), _PLY_CHUNK_LINES):
-        tokens = list(map(str.split, lines[lo : lo + _PLY_CHUNK_LINES]))
-        if list(map(len, tokens)).count(width) != len(tokens):
+        chunk = lines[lo : lo + _PLY_CHUNK_LINES]
+        part = _read_chunk(chunk, width, dtype)
+        if part is None:
             break
-        try:
-            rows[lo : lo + len(tokens)] = np.array(tokens, dtype)
-        except (ValueError, OverflowError):  # an int beyond int64 still has to name its line
-            break
+        rows[lo : lo + len(chunk)] = part
     else:
         if valid(rows):
             return rows

@@ -270,6 +270,12 @@ class TestPlyParsing:
         with pytest.raises(UnsupportedFormat):
             parse_ply(ply_file(tmp_path, text))
 
+    @pytest.mark.parametrize("face, found", [("3 0 1", 2), ("3 0 1 2 7", 4), ("3", 0)])
+    def test_triangle_face_with_the_wrong_index_count_is_malformed(self, tmp_path, face, found):
+        with pytest.raises(MalformedLine, match=f"3 vertex indices, got {found}$") as exc:
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace("3 0 1 2", face)))
+        assert exc.value.line_no == 13
+
     def test_list_vertex_property_rejected(self, tmp_path):
         text = TRIANGLE_PLY.replace(
             "property float x", "property list uchar float weights\nproperty float x"
@@ -415,6 +421,65 @@ class TestPlyArrayBody:
         monkeypatch.setattr(datio, "_face_line", forbidden)
         model = parse_ply(ply_file(tmp_path, cube_ply()))
         assert model.triangles.shape == (12, 3)
+
+    def test_token_cast_does_not_run_on_a_plain_file(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the token cast ran on a file the C reader reads")
+        monkeypatch.setattr(datio, "_cast_tokens", forbidden)
+        model = parse_ply(ply_file(tmp_path, cube_ply()))
+        assert model.triangles.shape == (12, 3)
+        path = tmp_path / "styled.ply"
+        path.write_bytes(styled_ply(np.random.default_rng(5), 300, 500, extra=True, crlf=True).encode())
+        vertices, triangles = oracles.ply_loop(path)
+        model = parse_ply(path)
+        assert model.vertices.tobytes() == vertices.tobytes()
+        assert model.triangles.tobytes() == triangles.tobytes()
+
+    # Spellings around the C reader's edge, each on a line of a middle 3-line
+    # chunk: vertex line 14 ("1 0 0") or face line 22 ("3 0 4 5") of the cube.
+    @pytest.mark.parametrize("old, new, error, line_no", [
+        ("1 0 0\n", "1_0 0 0\n", None, None),
+        ("3 0 4 5\n", "3 0 4 0_5\n", None, None),
+        ("1 0 0\n", "\u0661 0 0\n", None, None),
+        ("3 0 4 5\n", "3 0 \u0664 5\n", None, None),
+        ("1 0 0\n", "1\xa00\xa00\n", None, None),
+        ("3 0 4 5\n", "3\xa00 4\xa05\n", None, None),
+        ("3 0 4 5\n", "3 0 4 5.0\n", MalformedLine, 22),
+        ("1 0 0\n", "1e400 0 0\n", MalformedLine, 14),
+        ("1 0 0\n", "1 nan 0\n", MalformedLine, 14),
+        ("1 0 0\n", "1 0 0 # c\n", MalformedLine, 14),
+        ("1 0 0\n", " \t \n", MalformedLine, 14),
+        ("3 0 4 5\n", "3 0 4 " + "9" * 30 + "\n", IndexOutOfRange, 22),
+    ], ids=["underscore-vertex", "underscore-face", "arabic-indic-vertex", "arabic-indic-face", "nbsp-vertex",
+            "nbsp-face", "float-index", "overflow", "nan", "trailing-comment", "blank-line", "index-beyond-int64"])
+    def test_spellings_between_chunks_match_the_line_loop(self, tmp_path, monkeypatch, old, new, error, line_no):
+        monkeypatch.setattr(datio, "_PLY_CHUNK_LINES", 3)
+        text = cube_ply().replace(old, new, 1)
+        assert text != cube_ply()
+        path = tmp_path / "mesh.ply"
+        path.write_bytes(text.encode())
+        if error is None:
+            vertices, triangles = oracles.ply_loop(path)
+            model = parse_ply(path)
+            assert model.vertices.tobytes() == vertices.tobytes()
+            assert model.triangles.tobytes() == triangles.tobytes()
+        else:
+            with pytest.raises(error) as exc:
+                parse_ply(path)
+            assert getattr(exc.value, "line_no", None) == line_no or str(exc.value).startswith(f"line {line_no}:")
+
+    @pytest.mark.parametrize("n_vertices, n_faces", [(0, 0), (8, 0)])
+    def test_empty_elements_between_chunks_match_the_line_loop(self, tmp_path, monkeypatch, n_vertices, n_faces):
+        monkeypatch.setattr(datio, "_PLY_CHUNK_LINES", 3)
+        head, body = cube_ply().split("end_header\n")
+        head = head.replace("element vertex 8", f"element vertex {n_vertices}")
+        head = head.replace("element face 12", f"element face {n_faces}")
+        path = tmp_path / "mesh.ply"
+        path.write_bytes((head + "end_header\n" + "".join(body.splitlines(True)[:n_vertices])).encode())
+        vertices, triangles = oracles.ply_loop(path)
+        model = parse_ply(path, ObjectMeta(diameter=0.0) if n_vertices == 0 else None)
+        assert model.vertices.tobytes() == vertices.tobytes()
+        assert model.triangles.tobytes() == triangles.tobytes()
 
     @pytest.mark.parametrize("old, new, error, line_no", [
         ("0 1 1", "0 1", MalformedLine, 13),
