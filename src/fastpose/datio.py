@@ -129,11 +129,11 @@ def _element_count(text: str, line_no: int) -> int:
     return count
 
 
-_PLY_CHUNK_LINES = 1 << 9  # body lines read at once: a fallback chunk's token lists take about 150 KB
+_PLY_CHUNK_LINES = 1 << 9  # body lines read at once: a chunk the C reader refuses is held as Python lists, about 150 KB
 
 
-def _vertex_line(line: str, line_no: int, props: int, xyz: list[int]) -> None:
-    """Raise the error of the first vertex rule `line` breaks, if any."""
+def _vertex_line(line: str, line_no: int, props: int, xyz: list[int]) -> list[float]:
+    """The values of a vertex line, or the error of the first rule it breaks."""
     parts = line.split()
     if len(parts) != props:
         raise MalformedLine(line_no, f"vertex needs {props} values, got {len(parts)}")
@@ -143,10 +143,11 @@ def _vertex_line(line: str, line_no: int, props: int, xyz: list[int]) -> None:
         raise MalformedLine(line_no, str(exc)) from exc
     if not all(math.isfinite(values[c]) for c in xyz):
         raise MalformedLine(line_no, "vertex coordinates must be finite")
+    return values
 
 
-def _face_line(line: str, line_no: int, n_vertices: int) -> None:
-    """Raise the error of the first face rule `line` breaks, if any."""
+def _face_line(line: str, line_no: int, n_vertices: int) -> list[int]:
+    """The count and indices of a face line, or the error of the first rule it breaks."""
     parts = line.split()
     try:
         count = int(parts[0])
@@ -159,62 +160,48 @@ def _face_line(line: str, line_no: int, n_vertices: int) -> None:
         raise MalformedLine(line_no, f"triangle face needs 3 vertex indices, got {len(parts) - 1}")
     if min(idx) < 0 or max(idx) >= n_vertices:
         raise IndexOutOfRange(f"line {line_no}: vertex index outside 0..{n_vertices - 1}")
-
-
-def _cast_tokens(chunk: list[str], width: int, dtype) -> np.ndarray | None:
-    """The chunk's lines as one array, or None unless every line holds
-    exactly `width` tokens and every token converts. NumPy's string casts
-    call Python's float() and int(), so this accepts what the per-line rules
-    accept, with the same values."""
-    tokens = list(map(str.split, chunk))
-    if list(map(len, tokens)).count(width) != len(tokens):
-        return None
-    try:
-        return np.array(tokens, dtype)
-    except (ValueError, OverflowError):  # an int beyond int64 still has to name its line
-        return None
+    return [count, *idx]
 
 
 def _read_chunk(chunk: list[str], width: int, dtype) -> np.ndarray | None:
-    """The chunk's lines as one (len(chunk), width) array, or None.
+    """The chunk's lines as one (len(chunk), width) array read by np.loadtxt,
+    NumPy's C tokenizer and converter, or None if it refuses them.
 
-    np.loadtxt, NumPy's C tokenizer and converter, reads it first. Its
-    floats come from the correctly rounded conversion float() uses and its
-    integers are exact, so the values are the token cast's; it refuses more
-    (underscores, non-ASCII digits) and skips blank lines, so a chunk it
-    refuses or shortens goes through _cast_tokens instead.
+    Its floats come from the correctly rounded conversion float() uses and
+    its integers are exact, so every value it reads is the per-line rules'
+    value. It refuses more than they do (underscores, non-ASCII digits) and
+    skips blank lines, hence the shape check.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data" and the like refuse the chunk
             part = np.loadtxt(chunk, dtype, comments=None, ndmin=2)
-        if part.shape == (len(chunk), width):
-            return part
     except (ValueError, OverflowError, Warning):
-        pass
-    return _cast_tokens(chunk, width, dtype)
+        return None
+    return part if part.shape == (len(chunk), width) else None
 
 
 def _element_rows(lines: list[str], first_line_no: int, width: int, dtype, valid, line_rules) -> np.ndarray:
     """An element's body lines as one (len(lines), width) array.
 
-    The body is read _PLY_CHUNK_LINES lines at a time by _read_chunk. Only
-    when a chunk cannot be read or the array check `valid` fails does
-    `line_rules` run line by line, to raise that line's error with its number.
+    The body is read _PLY_CHUNK_LINES lines at a time by _read_chunk. When a
+    chunk is refused or the array check `valid` fails, `line_rules` read the
+    whole element again line by line: they raise the first bad line's error
+    with its number, or return each line's values.
     """
     rows = np.empty((len(lines), width), dtype)
     for lo in range(0, len(lines), _PLY_CHUNK_LINES):
-        chunk = lines[lo : lo + _PLY_CHUNK_LINES]
-        part = _read_chunk(chunk, width, dtype)
+        part = _read_chunk(lines[lo : lo + _PLY_CHUNK_LINES], width, dtype)
         if part is None:
             break
-        rows[lo : lo + len(chunk)] = part
+        rows[lo : lo + len(part)] = part
     else:
         if valid(rows):
             return rows
-    for i, line in enumerate(lines):
-        line_rules(line, first_line_no + i)
-    raise AssertionError("the per-line rules accept a line the array path rejects")
+    for lo in range(0, len(lines), _PLY_CHUNK_LINES):
+        chunk = lines[lo : lo + _PLY_CHUNK_LINES]
+        rows[lo : lo + len(chunk)] = [line_rules(line, first_line_no + i) for i, line in enumerate(chunk, lo)]
+    return rows
 
 
 def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:

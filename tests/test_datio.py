@@ -421,14 +421,7 @@ class TestPlyArrayBody:
         monkeypatch.setattr(datio, "_face_line", forbidden)
         model = parse_ply(ply_file(tmp_path, cube_ply()))
         assert model.triangles.shape == (12, 3)
-
-    def test_token_cast_does_not_run_on_a_plain_file(self, tmp_path, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("the token cast ran on a file the C reader reads")
-        monkeypatch.setattr(datio, "_cast_tokens", forbidden)
-        model = parse_ply(ply_file(tmp_path, cube_ply()))
-        assert model.triangles.shape == (12, 3)
-        path = tmp_path / "styled.ply"
+        path = tmp_path / "styled.ply"  # mixed spellings the C reader reads, without underscores
         path.write_bytes(styled_ply(np.random.default_rng(5), 300, 500, extra=True, crlf=True).encode())
         vertices, triangles = oracles.ply_loop(path)
         model = parse_ply(path)
@@ -508,6 +501,13 @@ class TestPlyArrayBody:
         with pytest.raises(MalformedLine) as exc:
             parse_ply(ply_file(tmp_path, text))
         assert exc.value.line_no == 17
+
+    def test_first_failing_line_wins_over_a_later_unreadable_chunk(self, tmp_path, monkeypatch):
+        # line 18's index is read by the C reader; line 25's chunk is refused, so the rules re-read from line 18
+        monkeypatch.setattr(datio, "_PLY_CHUNK_LINES", 3)
+        text = cube_ply().replace("3 0 1 3\n", "3 0 1 99\n").replace("3 2 7 6\n", "3 2 7 six\n")
+        with pytest.raises(IndexOutOfRange, match="line 18:"):
+            parse_ply(ply_file(tmp_path, text))
 
     def test_first_failing_line_wins_in_a_face_first_file(self, tmp_path):
         text = (
