@@ -159,13 +159,7 @@ def _cmd_finetune(args) -> int:
 def _cmd_distill(args) -> int:
     teacher = load_model(args.teacher)
     student = load_model(args.student)
-    config = DistillConfig(
-        temperature=args.temperature,
-        loss_kind=args.loss,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        squared_temperature=args.squared_temperature,
-    )
+    config = DistillConfig(learning_rate=args.lr, epochs=args.epochs)
     adapter = None
     if args.adapter:
         s_shape, t_shape = student.output_shape, teacher.output_shape
@@ -173,7 +167,7 @@ def _cmd_distill(args) -> int:
             raise UsageError("--adapter needs models whose outputs are feature maps")
         adapter = Adapter.create(s_shape[0], t_shape[0], seed=args.seed)
     return _train(args, student, lambda inputs: distill_train(teacher, student, adapter, config, inputs),
-                  loss_kind="feature-align" if adapter else config.loss_kind)
+                  loss_kind="feature-align" if adapter else "mse")
 
 
 def _cmd_bench(args) -> int:
@@ -245,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="train a student model against a teacher")
     p.add_argument("--teacher", required=True)
     p.add_argument("--student", required=True)
-    p.add_argument("--loss", choices=("kl", "mse"), default="kl")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--squared-temperature", action="store_true",
-                   help="scale the softened loss by temperature squared instead of temperature")
     p.add_argument("--adapter", action="store_true", help="feature alignment through a 1x1-conv adapter")
     _training_args(p, _cmd_distill)
 

@@ -1,89 +1,47 @@
-"""Teacher-student training: softened-logit losses, feature alignment, SGD.
+"""Teacher-student training: output regression, feature alignment, SGD.
 
 Two routes move knowledge from a teacher graph into a student:
 
-* output mimicry: KL between temperature-softened logits (or plain MSE)
-  computed on the flattened graph outputs;
+* output regression: the mean squared difference between the graph
+  outputs. The toy network's output is a pose, not class logits, so it is
+  regressed; a softmax over it would not see a constant shift;
 * feature alignment: a 1x1-conv adapter lifts student feature maps to the
   teacher's channel count, both maps are scaled to unit L2 norm along
-  channels per pixel, and the mean squared difference is minimized. This is
-  the only alignment objective, and it reads none of the output-loss
-  settings (loss_kind, temperature, squared_temperature).
+  channels per pixel, and the mean squared difference is minimized.
 
-fine_tune is the same loop with the unpruned reference model as teacher
-and the MSE route, which is how pruned models recover accuracy.
+fine_tune is the output route with the unpruned reference model as teacher,
+which is how pruned models recover accuracy.
 format_trace_csv turns a loop's per-epoch loss trace into CSV text.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import EmptyInput, InvalidConfig, InvalidTemperature, LengthMismatch, ShapeMismatch
+from .errors import EmptyInput, InvalidConfig, LengthMismatch, ShapeMismatch
 from .net.graph import LayerGraph, gradients_congruent
 from .net.layers import GRAPH_INPUT, Conv2D
-
-LOSS_KINDS = ("kl", "mse")
 
 
 @dataclass(frozen=True)
 class DistillConfig:
-    temperature: float = 1.0
-    loss_kind: str = "kl"
+    # perfbench's net-train passes loss_kind="mse"; any other value is rejected, not trained as MSE
+    loss_kind: str = "mse"
     learning_rate: float = 1e-3
     epochs: int = 1
-    seed: int = 0  # accepted for callers; training reads no randomness
-    # the softened-KL prefactor is the temperature itself; set this to use
-    # its square, which rescales gradients to be temperature-invariant
-    squared_temperature: bool = False
+    seed: int = 0  # perfbench's net-train passes it; training reads no randomness
 
     def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise InvalidTemperature(f"temperature must be positive and finite, got {self.temperature}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise InvalidConfig(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+        if self.loss_kind != "mse":
+            raise InvalidConfig(f"loss_kind must be 'mse', got {self.loss_kind!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidConfig("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
-
-
-def soften(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature-scaled softmax, computed max-shifted for stability."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise InvalidTemperature(f"temperature must be positive and finite, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64).ravel() / temperature
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def _log_soften(logits: np.ndarray, temperature: float) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64).ravel() / temperature
-    z -= z.max()
-    return z - np.log(np.exp(z).sum())
-
-
-def kl_loss(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature: float,
-            squared_temperature: bool = False) -> tuple[float, np.ndarray]:
-    """Softened KL divergence from teacher to student and its gradient
-    with respect to the student logits."""
-    s = np.asarray(student_logits)
-    t = np.asarray(teacher_logits)
-    if s.size != t.size:
-        raise LengthMismatch(f"student has {s.size} logits, teacher has {t.size}")
-    scale = temperature * temperature if squared_temperature else temperature
-    log_ps = _log_soften(s, temperature)
-    pt = soften(t, temperature)
-    log_pt = _log_soften(t, temperature)
-    loss = scale * float((pt * (log_pt - log_ps)).sum())
-    ps = np.exp(log_ps)
-    grad = (scale / temperature) * (ps - pt)
-    return loss, grad.reshape(s.shape).astype(s.dtype)
 
 
 def mse_loss(student_out: np.ndarray, teacher_out: np.ndarray) -> tuple[float, np.ndarray]:
@@ -172,20 +130,12 @@ def make_input_sampler(shape: tuple, count: int, seed: int) -> list[np.ndarray]:
     return [gen.standard_normal(shape).astype(np.float32) for _ in range(count)]
 
 
-def _output_loss(student_out, teacher_out, config: DistillConfig):
-    if config.loss_kind == "kl":
-        loss, grad = kl_loss(student_out.ravel(), teacher_out.ravel(), config.temperature,
-                             config.squared_temperature)
-        return loss, grad.reshape(student_out.shape)
-    return mse_loss(student_out, teacher_out)
-
-
 def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | None,
                   config: DistillConfig, inputs: list[np.ndarray]):
     """SGD over the fixed input list; returns (student, per-epoch mean loss).
 
     With an adapter the loss is feature alignment between the graph outputs
-    treated as feature maps; without one it is the configured output loss.
+    treated as feature maps; without one it is mse_loss on the outputs.
     The student (and adapter) are updated in place, one step per sample, and
     each step runs the student forward once. An empty input list is EmptyInput.
     """
@@ -200,7 +150,8 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
             if adapter is not None:
                 loss, gout, adapter_grads = align_and_loss(out, target, adapter)
             else:
-                loss, gout = _output_loss(out, target, config)
+                # looked up by name at each call, so perfbench's traced distill.mse_loss span records it
+                loss, gout = mse_loss(out, target)
                 adapter_grads = None
             grads, _ = student.backward(tape, gout)
             del tape  # not held through the next step's forward
@@ -215,7 +166,7 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
 def fine_tune(pruned: LayerGraph, reference: LayerGraph, config: DistillConfig,
               inputs: list[np.ndarray]):
     """Recover a pruned model by regressing its outputs onto the reference's."""
-    return distill_train(reference, pruned, None, replace(config, loss_kind="mse"), inputs)
+    return distill_train(reference, pruned, None, config, inputs)
 
 
 def format_trace_csv(trace) -> str:

@@ -44,13 +44,11 @@ class InconsistentPlan(FastposeError):
     """A prune plan does not match the graph it is applied to."""
 
 
-# distillation
-class InvalidTemperature(FastposeError):
-    """Softmax temperature must be a positive finite number."""
-
-
+# distillation / metrics
 class LengthMismatch(FastposeError):
-    """Two logit vectors must have equal length."""
+    """Paired arrays disagree: a student and teacher output differ in shape,
+    or an object's average-recall inputs (a VSD error vector and the tau
+    grid, the per-metric sample counts) differ in length."""
 
 
 # metrics / aggregation

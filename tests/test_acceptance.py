@@ -30,7 +30,6 @@ from fastpose.distill import (
     align_and_loss,
     distill_train,
     fine_tune,
-    kl_loss,
     make_input_sampler,
     mse_loss,
     sgd_step,
@@ -262,16 +261,7 @@ def test_04_gradients_match_finite_differences(capsys):
             num = oracles.central_difference(loss, x, idx)
             check(f"seed {seed} input{idx}", gx[idx], num)
 
-        # Both training losses, full-gradient check.
-        student = gen.standard_normal(7)
-        teacher = gen.standard_normal(7)
-        for squared in (False, True):
-            _, grad = kl_loss(student, teacher, 2.5, squared_temperature=squared)
-            for j in range(7):
-                num = oracles.central_difference(
-                    lambda: kl_loss(student, teacher, 2.5, squared_temperature=squared)[0],
-                    student, j)
-                check(f"seed {seed} kl(sq={squared})[{j}]", grad[j], num)
+        # The output-regression loss, full-gradient check.
         a = gen.standard_normal((3, 2, 2))
         b = gen.standard_normal((3, 2, 2))
         _, grad = mse_loss(a, b)
@@ -283,7 +273,7 @@ def test_04_gradients_match_finite_differences(capsys):
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 60.0
     _verdict(capsys, 4, ok,
-             f"20 seeds, every layer kind + both losses, worst rel err {worst:.2e} "
+             f"20 seeds, every layer kind + the mse loss, worst rel err {worst:.2e} "
              f"(tol 1e-4), {elapsed:.1f}s (budget 60s)")
     assert not failures, failures[:5]
     assert elapsed < 60.0

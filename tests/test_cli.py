@@ -348,7 +348,7 @@ class TestDistillCommand:
         out = tmp_path / "distilled.json"
         code = main([
             "distill", "--teacher", str(teacher), "--student", str(student),
-            "--loss", "mse", "--epochs", "1", "--samples", "2", "--out", str(out),
+            "--epochs", "1", "--samples", "2", "--out", str(out),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -381,6 +381,17 @@ class TestDistillCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("option", [["--loss", "kl"], ["--temperature", "2"], ["--squared-temperature"]])
+    def test_removed_loss_options_are_usage_errors(self, option, tmp_path, capsys):
+        teacher = build_model(tmp_path, "t.json", seed=1)
+        out = tmp_path / "d.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["distill", "--teacher", str(teacher), "--student", str(teacher), *option,
+                  "--epochs", "1", "--samples", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_is_a_usage_error(self, samples, tmp_path, capsys):
         teacher = build_model(tmp_path, "t.json", seed=1)
@@ -388,7 +399,7 @@ class TestDistillCommand:
         out = tmp_path / "d.json"
         with pytest.raises(SystemExit) as exc:
             main(["distill", "--teacher", str(teacher), "--student", str(student),
-                  "--loss", "mse", "--epochs", "1", "--samples", samples, "--out", str(out)])
+                  "--epochs", "1", "--samples", samples, "--out", str(out)])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
         assert not out.exists()
@@ -494,7 +505,7 @@ class TestNestedOutputPaths:
         a = build_model(tmp_path, "a.json", module="pnp", seed=1)
         b = build_model(tmp_path, "b.json", module="pnp", seed=2)
         models = ["--model", str(b), "--reference", str(a)] if command == "finetune" else \
-            ["--teacher", str(a), "--student", str(b), "--loss", "mse"]
+            ["--teacher", str(a), "--student", str(b)]
         text = self.write_both(tmp_path, [command, *models, "--epochs", "2", "--samples", "2",
                                           "--out", str(tmp_path / "o.json")], "--trace", "trace.csv")
         assert text.splitlines()[0] == "epoch,mean_loss" and len(text.splitlines()) == 3

@@ -1,8 +1,7 @@
-"""Teacher-student training tests: softened losses, feature alignment,
+"""Teacher-student training tests: output regression, feature alignment,
 SGD, and the distillation / fine-tuning loops."""
 
 import copy
-import math
 
 import numpy as np
 import pytest
@@ -14,16 +13,13 @@ from fastpose.distill import (
     distill_train,
     fine_tune,
     format_trace_csv,
-    kl_loss,
     make_input_sampler,
     mse_loss,
     sgd_step,
-    soften,
 )
 from fastpose.errors import (
     EmptyInput,
     InvalidConfig,
-    InvalidTemperature,
     LengthMismatch,
     ShapeMismatch,
     TooAggressive,
@@ -33,81 +29,6 @@ from fastpose.net.layers import GRAPH_INPUT, Conv2D, Dense, Flatten
 from fastpose.prune import PruneConfig, apply_prune, plan_prune
 
 import oracles
-
-
-class TestSoften:
-    def test_uniform_logits_give_uniform_probabilities(self):
-        np.testing.assert_allclose(soften(np.zeros(4), 2.0), np.full(4, 0.25))
-
-    def test_shift_invariance(self):
-        x = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(soften(x + 100.0, 1.5), soften(x, 1.5), atol=1e-12)
-
-    def test_sums_to_one(self):
-        gen = np.random.default_rng(0)
-        for _ in range(20):
-            p = soften(gen.standard_normal(6) * 10, 3.0)
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert (p > 0).all()
-
-    def test_higher_temperature_flattens(self):
-        x = np.array([2.0, 0.0, -1.0])
-        assert soften(x, 10.0).max() < soften(x, 1.0).max()
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_invalid_temperature(self, bad):
-        with pytest.raises(InvalidTemperature):
-            soften(np.zeros(3), bad)
-
-
-class TestKlLoss:
-    def test_hand_computed_value(self):
-        # teacher [ln 3, 0] softens to (0.75, 0.25); student is uniform.
-        teacher = np.array([math.log(3.0), 0.0])
-        student = np.zeros(2)
-        expected = 0.75 * math.log(0.75 / 0.5) + 0.25 * math.log(0.25 / 0.5)
-        loss, _ = kl_loss(student, teacher, temperature=1.0)
-        assert abs(loss - expected) < 1e-12
-
-    def test_zero_when_distributions_match(self):
-        x = np.array([0.5, -0.3, 1.7])
-        loss, grad = kl_loss(x, x.copy(), temperature=2.0)
-        assert abs(loss) < 1e-12
-        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
-
-    def test_nonnegative_over_random_pairs(self):
-        gen = np.random.default_rng(1)
-        for _ in range(1000):
-            s = gen.standard_normal(5) * 3
-            t = gen.standard_normal(5) * 3
-            loss, _ = kl_loss(s, t, temperature=gen.uniform(0.5, 4.0))
-            assert loss >= -1e-15
-
-    def test_squared_temperature_rescales_by_t(self):
-        s = np.array([0.1, 0.9, -0.4])
-        t = np.array([1.0, 0.0, 0.5])
-        plain, gplain = kl_loss(s, t, temperature=4.0)
-        squared, gsquared = kl_loss(s, t, temperature=4.0, squared_temperature=True)
-        assert abs(squared - 4.0 * plain) < 1e-12
-        np.testing.assert_allclose(gsquared, 4.0 * gplain, atol=1e-9)
-
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_gradient_matches_central_differences(self, squared):
-        gen = np.random.default_rng(2)
-        s = gen.standard_normal(6)
-        t = gen.standard_normal(6)
-
-        def f(_=None):
-            return kl_loss(s, t, temperature=2.5, squared_temperature=squared)[0]
-
-        _, grad = kl_loss(s, t, temperature=2.5, squared_temperature=squared)
-        for i in range(s.size):
-            numeric = oracles.central_difference(f, s, i)
-            assert oracles.gradcheck_rel_err(float(grad[i]), numeric) < 1e-7
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            kl_loss(np.zeros(3), np.zeros(4), temperature=1.0)
 
 
 class TestMseLoss:
@@ -295,14 +216,14 @@ class TestDistillTrain:
     def test_trace_length_equals_epochs(self):
         teacher, student = tiny_teacher_student(0)
         inputs = make_input_sampler((1, 4, 4), 3, seed=1)
-        cfg = DistillConfig(loss_kind="mse", learning_rate=0.05, epochs=7)
+        cfg = DistillConfig(learning_rate=0.05, epochs=7)
         _, trace = distill_train(teacher, student, None, cfg, inputs)
         assert len(trace) == 7
 
     def test_zero_epochs_changes_nothing(self):
         teacher, student = tiny_teacher_student(1)
         before = copy.deepcopy(student.params())
-        cfg = DistillConfig(loss_kind="mse", learning_rate=0.05, epochs=0)
+        cfg = DistillConfig(learning_rate=0.05, epochs=0)
         _, trace = distill_train(
             teacher, student, None, cfg, make_input_sampler((1, 4, 4), 2, seed=2)
         )
@@ -311,15 +232,12 @@ class TestDistillTrain:
             for key, arr in params.items():
                 np.testing.assert_array_equal(arr, before[name][key])
 
-    @pytest.mark.parametrize("loss_kind", ["mse", "kl"])
-    def test_loss_decreases_on_fixed_input(self, loss_kind):
+    def test_loss_decreases_on_fixed_input(self):
         drops = 0
         for seed in range(5):
             teacher, student = tiny_teacher_student(seed + 10)
             inputs = make_input_sampler((1, 4, 4), 1, seed=seed)
-            cfg = DistillConfig(
-                loss_kind=loss_kind, temperature=2.0, learning_rate=0.05, epochs=20
-            )
+            cfg = DistillConfig(learning_rate=0.05, epochs=20)
             _, trace = distill_train(teacher, student, None, cfg, inputs)
             drops += trace[-1] < trace[0]
         assert drops == 5
@@ -328,7 +246,7 @@ class TestDistillTrain:
         teacher, student = tiny_teacher_student(3)
         twin = copy.deepcopy(student)
         inputs = make_input_sampler((1, 4, 4), 2, seed=4)
-        cfg = DistillConfig(loss_kind="mse", learning_rate=0.05, epochs=5)
+        cfg = DistillConfig(learning_rate=0.05, epochs=5)
         _, trace_a = distill_train(teacher, student, None, cfg, inputs)
         _, trace_b = distill_train(teacher, twin, None, cfg, inputs)
         assert trace_a == trace_b
@@ -350,18 +268,31 @@ class TestDistillTrain:
         student = build_toy_backbone(ToyConfig(backbone_width=8 if with_adapter else 16, seed=2))
         adapter = Adapter.create(8, 16, seed=3) if with_adapter else None
         inputs = make_input_sampler(student.input_shape, 2, seed=4)
-        cfg = DistillConfig(loss_kind="mse", learning_rate=1e-3, epochs=3)
+        cfg = DistillConfig(learning_rate=1e-3, epochs=3)
         distill_train(teacher, student, adapter, cfg, inputs)
         assert [layer_forward_calls[layer] for layer in student.layers] == [6] * len(student.layers)
         assert [layer_forward_calls[layer] for layer in teacher.layers] == [2] * len(teacher.layers)
         if adapter is not None:
             assert layer_forward_calls[adapter.conv] == 6
 
+    def test_student_shifted_on_every_output_gets_loss_and_gradient(self):
+        # The pose output is not a class distribution: a student 5 units above
+        # the teacher on all nine outputs must cost 5**2 and be pulled back down.
+        teacher = build_toy_gdrn(ToyConfig(8, 16, 8, 4, seed=1))
+        student = copy.deepcopy(teacher)
+        out = student.layer("pnp.out")
+        shifted = out.bias + np.float32(5.0)
+        out.set_param("bias", shifted)
+        inputs = make_input_sampler(student.input_shape, 2, seed=2)
+        _, trace = distill_train(teacher, student, None, DistillConfig(learning_rate=1e-6), inputs)
+        assert trace[0] == pytest.approx(25.0, rel=1e-5)
+        assert (student.layer("pnp.out").bias < shifted).all()
+
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_empty_input_list_raises(self, epochs):
         teacher, student = tiny_teacher_student(6)
         with pytest.raises(EmptyInput):
-            distill_train(teacher, student, None, DistillConfig(loss_kind="mse", epochs=epochs), [])
+            distill_train(teacher, student, None, DistillConfig(epochs=epochs), [])
 
 
 class TestFineTune:
@@ -406,25 +337,12 @@ class TestFineTune:
         with pytest.raises(EmptyInput):
             fine_tune(copy.deepcopy(reference), reference, DistillConfig(), [])
 
-    def test_kl_config_is_overridden_to_mse(self):
-        # fine_tune always regresses outputs, even if the config says KL.
-        reference = build_toy_gdrn(self.small_cfg(seed=3))
-        clone = copy.deepcopy(reference)
-        inputs = make_input_sampler((3, 64, 64), 1, seed=9)
-        cfg = DistillConfig(loss_kind="kl", learning_rate=1e-4, epochs=1)
-        _, trace = fine_tune(clone, reference, cfg, inputs)
-        assert trace[0] < 1e-10
-
 
 class TestDistillConfig:
-    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
-    def test_invalid_temperature(self, bad):
-        with pytest.raises(InvalidTemperature):
-            DistillConfig(temperature=bad)
-
-    def test_invalid_loss_kind(self):
+    @pytest.mark.parametrize("kind", ["kl", "hinge", "MSE", ""])
+    def test_any_loss_kind_but_mse_is_invalid(self, kind):
         with pytest.raises(InvalidConfig):
-            DistillConfig(loss_kind="hinge")
+            DistillConfig(loss_kind=kind)
 
     def test_invalid_learning_rate(self):
         with pytest.raises(InvalidConfig):

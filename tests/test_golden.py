@@ -1,5 +1,6 @@
-"""Golden bytes: `fastpose eval` reports and depth-map dumps on the benchmark's
-seed-701 datasets, pinned by sha256.
+"""Golden bytes, pinned by sha256: `fastpose eval` reports and depth-map dumps
+on the benchmark's seed-701 datasets, and every file and stdout of the
+README's compression round trip.
 
 The inputs come from perfbench/generate.py, which depends on numpy alone and
 never on fastpose, so a change to the program cannot move them. A digest is
@@ -8,12 +9,17 @@ in its own directory holding report.csv (`--format csv`, from stdout) and
 report.json (`--format json --out`). The eval-crowd scenes holding a
 behind-camera estimate (8, 16, 24) exit 1 before writing anything and are
 left out.
+
+The round trip (build twice, prune, finetune, distill) runs in-process in a
+temporary working directory, so the model paths its commands print are
+relative and its bytes do not depend on where the test runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -83,3 +89,51 @@ def test_eval_crowd_bytes(generate, tmp_path, capsys):
     maps = sorted(p for d in scenes for p in (d / "maps").glob("*.pgm"))
     assert len(maps) == 18
     assert digest(maps) == CROWD_MAPS
+
+
+ROUND_TRIP = (
+    ("build-teacher", ["build", "--config", "cfg.json", "--module", "full", "--seed", "3", "--out", "teacher.json"]),
+    ("build-student", ["build", "--config", "cfg.json", "--module", "full", "--seed", "9", "--out", "student.json"]),
+    ("prune", ["prune", "--model", "teacher.json", "--target", "head", "--degree-head", "1",
+               "--plan", "plan.json", "--out", "pruned.json"]),
+    ("finetune", ["finetune", "--model", "pruned.json", "--reference", "teacher.json", "--epochs", "2",
+                  "--lr", "0.01", "--samples", "3", "--trace", "finetune.csv", "--out", "tuned.json"]),
+    ("distill", ["distill", "--teacher", "teacher.json", "--student", "student.json", "--epochs", "2",
+                 "--samples", "3", "--trace", "distill.csv", "--out", "distilled.json"]),
+)
+ROUND_TRIP_BYTES = {
+    "build-student.stdout": "d68346e827d91f8a62450db287ace6dc32db97b3b0338d787a3ee32d9578ec41",
+    "build-teacher.stdout": "6c3f102bf6c32294fd43eda89cb942e41230008f169a0dac767b7f1187bdd038",
+    "distill.csv": "04ba1ed1a1b49cb8e99f7dae41ec6a262d48609d9d169fa270a74e2688679127",
+    "distill.stdout": "4a0682463dc9a9a32b869de7178199e5d05c911c15f526b7506a00b4a2f8149c",
+    "distilled.json": "6410b5442a80bc883affb4afb36ce9e23ad693e31fb53dcbebfe47ab8419783e",
+    "distilled.weights": "5c210298bec287ad7baa7aa7e49d80d4f03a3e443f4a659c753f7c800447b77e",
+    "finetune.csv": "56504001c6358890e25aae58fe30702c26dcaca83852bdb5104edc30645c52c4",
+    "finetune.stdout": "6e5fd3a7d329cb3b4c304b5d60ce3f479269d55687c29379ecc00cd42c5c2bb5",
+    "plan.json": "609a0dd79dbebeeadd38bcbd8d81b4bd9c63cbb590c4bd4e8be77d236cc23af1",
+    "prune.stdout": "c4029a53157277ffd07002587052b95e4680054e5f970343f96c43c2c7e80a5d",
+    "pruned.json": "545a85f596ce7d5e654b4bb32b82c5b38657cfdb13d16c141f19be23b0088e64",
+    "pruned.weights": "b602088da5fad0e3b5fc4745e9021e15294b1e2f9a50276dcd15e567b92beacb",
+    "student.json": "cb1a419b0203efe52aaf3e652c862fdca9ef2fef41441f2c0cc61c7db0537c11",
+    "student.weights": "ea1a0944f61bd2bfdd5aaa13457df8b0edcfa69e1eebd906edddba9fb8fe1c56",
+    "teacher.json": "0de601a9b03079092fe2e3e3161b02fb7180928962c7afdee183598d2c175cd0",
+    "teacher.weights": "7161fc9df85e29fb971b123bba51baca078028e66d4c4e3564178df539205618",
+    "tuned.json": "f9148301f3ea91cc11b35878936b1c3d5b4480bb6ccc9517fb0a5f3da4c4c409",
+    "tuned.weights": "f7d5cf45988a9e80a50eb86d752c7b27a90c185dc1bdc7d001d15002f0fb663c",
+}
+
+
+def test_compression_round_trip_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"backbone_width": 8, "head_width": 16, "pnp_width": 8, "regions": 4}), encoding="utf-8")
+    digests = {}
+    for step, argv in ROUND_TRIP:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digests[f"{step}.stdout"] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    for path in sorted(tmp_path.iterdir()):
+        if path.name != "cfg.json":
+            digests[path.name] = digest([path])
+    assert digests == ROUND_TRIP_BYTES
