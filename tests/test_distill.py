@@ -60,6 +60,36 @@ class TestMseLoss:
         with pytest.raises(LengthMismatch):
             mse_loss(np.zeros((2, 3)), np.zeros(6))
 
+    @pytest.mark.parametrize("shift", [-3.0, 0.5, 5.0])
+    def test_constant_shift_costs_its_square(self, shift):
+        # unlike a softmax-based loss, a shift on every output is seen and pulled back
+        t = np.random.default_rng(4).standard_normal(9)
+        loss, grad = mse_loss(t + shift, t)
+        assert loss == pytest.approx(shift * shift, rel=1e-12)
+        np.testing.assert_allclose(grad, np.full(9, 2.0 * shift / 9), rtol=1e-12)
+
+    def test_nonnegative_over_random_pairs(self):
+        gen = np.random.default_rng(5)
+        for _ in range(50):
+            loss, _ = mse_loss(gen.standard_normal((3, 4)), gen.standard_normal((3, 4)))
+            assert loss >= 0.0
+
+    def test_swapping_arguments_keeps_loss_and_negates_gradient(self):
+        gen = np.random.default_rng(6)
+        s = gen.standard_normal((2, 5))
+        t = gen.standard_normal((2, 5))
+        loss_st, grad_st = mse_loss(s, t)
+        loss_ts, grad_ts = mse_loss(t, s)
+        assert loss_st == loss_ts
+        np.testing.assert_array_equal(grad_ts, -grad_st)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_keeps_student_dtype(self, dtype):
+        s = np.array([1.0, -2.0, 0.5], dtype=dtype)
+        t = np.zeros(3, dtype=np.float64)
+        _, grad = mse_loss(s, t)
+        assert grad.dtype == dtype
+
 
 def float64_adapter(in_channels: int, out_channels: int, seed: int) -> Adapter:
     gen = np.random.default_rng(seed)
@@ -294,6 +324,19 @@ class TestDistillTrain:
         with pytest.raises(EmptyInput):
             distill_train(teacher, student, None, DistillConfig(epochs=epochs), [])
 
+    def test_seed_does_not_change_training(self):
+        teacher, student = tiny_teacher_student(7)
+        twin = copy.deepcopy(student)
+        inputs = make_input_sampler((1, 4, 4), 2, seed=8)
+        _, trace_a = distill_train(teacher, student, None,
+                                   DistillConfig(learning_rate=0.05, epochs=3, seed=0), inputs)
+        _, trace_b = distill_train(teacher, twin, None,
+                                   DistillConfig(learning_rate=0.05, epochs=3, seed=11), inputs)
+        assert trace_a == trace_b
+        for name, params in student.params().items():
+            for key, arr in params.items():
+                np.testing.assert_array_equal(arr, twin.params()[name][key])
+
 
 class TestFineTune:
     def small_cfg(self, **kw):
@@ -337,6 +380,19 @@ class TestFineTune:
         with pytest.raises(EmptyInput):
             fine_tune(copy.deepcopy(reference), reference, DistillConfig(), [])
 
+    def test_matches_distill_train_without_adapter(self):
+        reference = build_toy_gdrn(self.small_cfg(seed=6))
+        pruned = apply_prune(reference, plan_prune(reference, PruneConfig(target="head", d_head=1)))
+        twin = copy.deepcopy(pruned)
+        inputs = make_input_sampler((3, 64, 64), 2, seed=11)
+        cfg = DistillConfig(learning_rate=1e-3, epochs=2)
+        _, tuned_trace = fine_tune(pruned, reference, cfg, inputs)
+        _, distilled_trace = distill_train(reference, twin, None, cfg, inputs)
+        assert tuned_trace == distilled_trace
+        for name, params in pruned.params().items():
+            for key, arr in params.items():
+                np.testing.assert_array_equal(arr, twin.params()[name][key])
+
 
 class TestDistillConfig:
     @pytest.mark.parametrize("kind", ["kl", "hinge", "MSE", ""])
@@ -352,6 +408,16 @@ class TestDistillConfig:
         with pytest.raises(InvalidConfig):
             DistillConfig(epochs=-1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_is_invalid(self, rate):
+        with pytest.raises(InvalidConfig):
+            DistillConfig(learning_rate=rate)
+
+    def test_net_train_arguments_are_accepted(self):
+        # the benchmark's net-train workload builds its config with these keywords
+        cfg = DistillConfig(learning_rate=1e-3, epochs=2, seed=0, loss_kind="mse")
+        assert (cfg.learning_rate, cfg.epochs, cfg.seed, cfg.loss_kind) == (1e-3, 2, 0, "mse")
+
 
 class TestTraceCsv:
     def test_format(self):
@@ -362,3 +428,8 @@ class TestTraceCsv:
 
     def test_empty_trace_writes_header_only(self):
         assert format_trace_csv([]) == "epoch,mean_loss\n"
+
+    def test_losses_round_trip_exactly(self):
+        trace = [0.1, 1.0 / 3.0, 2.5e-17, 12345.678901234567]
+        rows = format_trace_csv(trace).splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == trace
