@@ -115,6 +115,9 @@ def read_runs_csv(path) -> list[RunRecord]:
         raise EmptyInput(f"{path}: no rows")
     header = [h.strip() for h in rows[0][1].split(",")]
     cols = {name: i for i, name in enumerate(header)}
+    repeated = [name for i, name in enumerate(header) if cols[name] != i]
+    if repeated:
+        raise MalformedLine(1, f"header names column {repeated[0]!r} more than once")
     if "label" not in cols or "ar" not in cols:
         raise MalformedLine(1, "header must name 'label' and 'ar' columns")
     if not any(n in cols for n in ("latency_ms", "median_ms", "mean_ms")):

@@ -113,7 +113,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_prune(args) -> int:
     graph = load_model(args.model)
-    config = PruneConfig(target=args.target, d_head=args.degree_head, d_pnp=args.degree_pnp)
+    config = PruneConfig(d_head=args.degree_head, d_pnp=args.degree_pnp)
     plan = plan_prune(graph, config)
     pruned = apply_prune(graph, plan)
     save_model(pruned, args.out)
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="remove low-L1 filter groups from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--target", choices=("head", "pnp", "both"), default="both")
     p.add_argument("--degree-head", type=int, default=0, help="groups of 8 to drop per head conv")
     p.add_argument("--degree-pnp", type=int, default=0, help="groups of 4 to drop per regressor conv")
     p.add_argument("--plan", help="also write the prune plan JSON here")

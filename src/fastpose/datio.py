@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    FastposeError,
     IndexOutOfRange,
     InvalidRotation,
     MalformedHeader,
@@ -210,8 +211,7 @@ def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     if not lines or lines[0].strip() != "ply":
         raise MalformedHeader("file does not start with 'ply'")
     counts: dict[str, int] = {}  # element name -> count, in header order
-    xyz_cols: dict[str, int] = {}
-    vertex_props = 0
+    vertex_props: list[str] = []  # vertex property names, in column order
     current = None
     fmt_seen = False
     body_start = None
@@ -240,10 +240,9 @@ def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
             if current == "vertex":
                 if parts[1] == "list":
                     raise UnsupportedFormat("list properties on vertices are not supported")
-                name = parts[-1]
-                if name in ("x", "y", "z"):
-                    xyz_cols[name] = vertex_props
-                vertex_props += 1
+                if parts[-1] in vertex_props:
+                    raise MalformedHeader(f"line {i}: vertex property {parts[-1]!r} is declared twice")
+                vertex_props.append(parts[-1])
             elif current == "face":
                 if parts[1] != "list" or parts[-1] not in ("vertex_indices", "vertex_index"):
                     raise UnsupportedFormat(f"unsupported face property {line!r}")
@@ -257,21 +256,21 @@ def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
         raise MalformedHeader("missing format declaration")
     if "vertex" not in counts:
         raise MalformedHeader("missing vertex element")
-    if set(xyz_cols) != {"x", "y", "z"}:
+    if not {"x", "y", "z"} <= set(vertex_props):
         raise MalformedHeader("vertex element must declare x, y, and z")
 
     body = lines[body_start:]
     n_vertices, n_faces = counts["vertex"], counts.get("face", 0)
     if len(body) < n_vertices + n_faces:
         raise MalformedLine(body_start + len(body) + 1, "file ends before all elements are read")
-    xyz = [xyz_cols[a] for a in "xyz"]
+    xyz, width = [vertex_props.index(a) for a in "xyz"], len(vertex_props)
     arrays, start = {"face": np.empty((0, 3), np.int64)}, 0
     for name, count in counts.items():  # header order, so the first failing line raises
         if name == "vertex":
             arrays[name] = _element_rows(
-                body[start : start + count], body_start + 1 + start, vertex_props, np.float64,
+                body[start : start + count], body_start + 1 + start, width, np.float64,
                 lambda r: np.isfinite(r[:, xyz]).all(),
-                lambda line, line_no: _vertex_line(line, line_no, vertex_props, xyz),
+                lambda line, line_no: _vertex_line(line, line_no, width, xyz),
             )[:, xyz]
         else:
             arrays[name] = _element_rows(
@@ -423,13 +422,17 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
 
 
 def discover_meshes(directory) -> dict[int, Path]:
-    """Map object ids to mesh paths: the id is the trailing digits of the
-    file stem (obj_000003.ply -> 3). Files without trailing digits are skipped."""
+    """Map object ids to mesh paths: the id is the trailing digits of the file stem
+    (obj_000003.ply -> 3). Stems without them are skipped; two ending in one id are an error."""
     out = {}
     for path in sorted(Path(directory).glob("*.ply")):
         m = re.search(r"(\d+)$", path.stem)
-        if m:
-            out[int(m.group(1))] = path
+        if not m:
+            continue
+        obj_id = int(m.group(1))
+        if obj_id in out:
+            raise FastposeError(f"{out[obj_id]} and {path} both end in object id {obj_id}")
+        out[obj_id] = path
     return out
 
 

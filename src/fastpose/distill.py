@@ -25,6 +25,7 @@ from . import rng
 from .errors import EmptyInput, InvalidConfig, LengthMismatch, ShapeMismatch
 from .net.graph import LayerGraph, gradients_congruent
 from .net.layers import GRAPH_INPUT, Conv2D
+from .net.toy import _conv
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,7 @@ class Adapter:
 
     @classmethod
     def create(cls, in_channels: int, out_channels: int, seed: int = 0) -> "Adapter":
-        gen = rng.derive(seed, "init/adapter")
-        bound = 1.0 / math.sqrt(in_channels)
-        weight = gen.uniform(-bound, bound, size=(out_channels, in_channels, 1, 1)).astype(np.float32)
-        bias = gen.uniform(-bound, bound, size=(out_channels,)).astype(np.float32)
-        return cls(Conv2D("adapter", [GRAPH_INPUT], weight, bias))
+        return cls(_conv("adapter", GRAPH_INPUT, in_channels, out_channels, 1, 1, 0, seed))
 
     def forward(self, feat: np.ndarray):
         return self.conv.forward([feat])

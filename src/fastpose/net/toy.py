@@ -36,6 +36,8 @@ from .layers import (
 
 HEAD_GROUP = 8
 PNP_GROUP = 4
+# the prunable modules: (layer name prefix, degree field of ToyConfig and PruneConfig, filters per group)
+PRUNABLE_MODULES = (("head.", "d_head", HEAD_GROUP), ("pnp.", "d_pnp", PNP_GROUP))
 
 
 @dataclass(frozen=True)

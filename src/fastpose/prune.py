@@ -19,30 +19,26 @@ import numpy as np
 from .errors import InconsistentPlan, InvalidConfig, TooAggressive
 from .net.graph import LayerGraph
 from .net.layers import ConcatChannels, Conv2D, Dense, Flatten, GroupNorm, ReLU, Upsample2xNearest
-from .net.toy import HEAD_GROUP, PNP_GROUP
+from .net.toy import PRUNABLE_MODULES
 
 PLAN_FORMAT = "fastpose-prune-plan"
 PLAN_VERSION = 1
 
-TARGETS = ("head", "pnp", "both")
-_PREFIXES = {"head": ("head.",), "pnp": ("pnp.",), "both": ("head.", "pnp.")}
+_MODULE_PREFIXES = tuple(prefix for prefix, _, _ in PRUNABLE_MODULES)
 
 
 @dataclass(frozen=True)
 class PruneConfig:
+    # perfbench's net-infer and net-train pass target="both"; any other value is rejected
     target: str = "both"
     d_head: int = 0
     d_pnp: int = 0
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise InvalidConfig(f"target must be one of {TARGETS}, got {self.target!r}")
+        if self.target != "both":
+            raise InvalidConfig(f"target must be 'both', got {self.target!r}: the degrees pick the modules")
         if self.d_head < 0 or self.d_pnp < 0:
             raise InvalidConfig("prune degrees must be >= 0")
-        if self.d_head and "head." not in _PREFIXES[self.target]:
-            raise InvalidConfig(f"target {self.target!r} does not prune the head, so d_head must be 0")
-        if self.d_pnp and "pnp." not in _PREFIXES[self.target]:
-            raise InvalidConfig(f"target {self.target!r} does not prune the regressor, so d_pnp must be 0")
 
 
 @dataclass(frozen=True)
@@ -87,12 +83,7 @@ def filter_l1_norms(weight: np.ndarray) -> np.ndarray:
     return np.abs(weight).reshape(weight.shape[0], -1).sum(axis=1)
 
 
-def rank_filters_l1(weight: np.ndarray) -> np.ndarray:
-    """Filter indices from smallest to largest L1 norm; ties keep lower index first."""
-    return np.argsort(filter_l1_norms(weight), kind="stable")
-
-
-def find_prunable(graph: LayerGraph, prefixes: tuple[str, ...] = ("head.", "pnp.")) -> list[tuple[Conv2D, int]]:
+def find_prunable(graph: LayerGraph, prefixes: tuple[str, ...] = _MODULE_PREFIXES) -> list[tuple[Conv2D, int]]:
     """Convs under the given name prefixes whose consumers are all group norms.
 
     Returns (conv, group granularity) pairs in graph order. Convs feeding the
@@ -143,10 +134,11 @@ def plan_prune_layers(graph: LayerGraph, degrees: dict[str, int]) -> PrunePlan:
 
 
 def plan_prune(graph: LayerGraph, config: PruneConfig) -> PrunePlan:
-    """Plan for the toy network: d_head groups off each head conv, d_pnp off each regressor conv."""
+    """Plan for the toy network: each module's degree (d_head, d_pnp) in groups
+    off each of its prunable convs; a zero degree leaves the module alone."""
     degrees = {}
-    for prefix in _PREFIXES[config.target]:
-        degree = config.d_head if prefix == "head." else config.d_pnp
+    for prefix, key, _ in PRUNABLE_MODULES:
+        degree = getattr(config, key)
         convs = find_prunable(graph, prefixes=(prefix,))
         if degree and not convs:
             raise InconsistentPlan(f"no prunable convs under {prefix!r}")
@@ -263,10 +255,10 @@ def _pruned_toy_config(graph: LayerGraph, plan: PrunePlan, toy_config: dict) -> 
     """The ToyConfig dict describing `graph` pruned by `plan`, or None when no
     ToyConfig does: every prunable conv under a prefix must lose the same
     number of groups, and nothing outside the head and regressor is pruned."""
-    if any(not name.startswith(("head.", "pnp.")) for name in plan.removed):
+    if any(not name.startswith(_MODULE_PREFIXES) for name in plan.removed):
         return None
     tc = dict(toy_config)
-    for prefix, key, group in (("head.", "d_head", HEAD_GROUP), ("pnp.", "d_pnp", PNP_GROUP)):
+    for prefix, key, group in PRUNABLE_MODULES:
         lost = {len(plan.removed.get(conv.name, ())) // group for conv, _ in find_prunable(graph, (prefix,))}
         if len(lost) > 1:
             return None

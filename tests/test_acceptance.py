@@ -294,7 +294,7 @@ def test_05_prune_fuzz_counts_and_zero_path(capsys):
         d_head = int(gen.integers(0, cfg.head_width // 8))
         d_pnp = int(gen.integers(0, cfg.pnp_width // 4))
         graph = build_toy_gdrn(cfg)
-        plan = plan_prune(graph, PruneConfig(target="both", d_head=d_head, d_pnp=d_pnp))
+        plan = plan_prune(graph, PruneConfig(d_head=d_head, d_pnp=d_pnp))
         pruned = apply_prune(graph, plan)
 
         flops = count_flops(pruned)
@@ -331,7 +331,7 @@ def test_05_prune_fuzz_counts_and_zero_path(capsys):
         graph = build_toy_gdrn(cfg)
         macs, params = [], []
         for d in range(cfg.head_width // 8):
-            plan = plan_prune(graph, PruneConfig(target="head", d_head=d))
+            plan = plan_prune(graph, PruneConfig(d_head=d))
             slim = apply_prune(graph, plan)
             macs.append(count_flops(slim).total_macs)
             params.append(count_params(slim))
@@ -341,7 +341,7 @@ def test_05_prune_fuzz_counts_and_zero_path(capsys):
             failures.append(f"{cfg}: params not strictly decreasing in head degree")
         macs = []
         for d in range(cfg.pnp_width // 4):
-            plan = plan_prune(graph, PruneConfig(target="pnp", d_pnp=d))
+            plan = plan_prune(graph, PruneConfig(d_pnp=d))
             macs.append(count_flops(apply_prune(graph, plan)).total_macs)
         if not all(a > b for a, b in zip(macs, macs[1:])):
             failures.append(f"{cfg}: MACs not strictly decreasing in regressor degree")
@@ -364,7 +364,7 @@ def test_06_fine_tuning_recovers_pruned_head(capsys):
     def mean_mse(g):
         return float(np.mean([mse_loss(g.forward(x), t)[0] for x, t in zip(inputs, targets)]))
 
-    plan = plan_prune(reference, PruneConfig(target="head", d_head=8))
+    plan = plan_prune(reference, PruneConfig(d_head=8))
     pruned = apply_prune(reference, plan)
     pre = mean_mse(pruned)
     # 50 epochs total, stepping the rate down so the per-sample updates
@@ -444,7 +444,7 @@ def test_07_feature_alignment_beats_controls(capsys):
 
 def test_08_pruned_pipeline_is_faster_and_lighter(capsys):
     base = build_toy_gdrn(ToyConfig(seed=808))
-    plan = plan_prune(base, PruneConfig(target="head", d_head=28))
+    plan = plan_prune(base, PruneConfig(d_head=28))
     slim = apply_prune(base, plan)
 
     f_base = count_flops(base).total_macs

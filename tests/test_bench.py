@@ -240,6 +240,13 @@ class TestReadRunsCsv:
         with pytest.raises(MalformedLine):
             read_runs_csv(self.write(tmp_path, "label,ar\nm,0.5\n"))
 
+    @pytest.mark.parametrize("header", ["label,ar,median_ms,median_ms", "label,ar,ar,median_ms"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        # the later column would otherwise be read silently: median 99, not 10
+        with pytest.raises(MalformedLine, match="more than once") as exc:
+            read_runs_csv(self.write(tmp_path, f"{header}\na,0.5,10,99\n"))
+        assert exc.value.line_no == 1
+
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(MalformedLine) as exc:
             read_runs_csv(self.write(tmp_path, "label,ar,latency_ms\nm,0.5\n"))

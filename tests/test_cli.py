@@ -2,13 +2,16 @@
 contract (0 ok, 1 data errors, 2 usage errors), and output determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fastpose.cli import main
+from fastpose.cli import build_parser, main
 from fastpose.net import load_model
 from fastpose.prune import PrunePlan
 
@@ -126,6 +129,13 @@ class TestArgumentHandling:
         results.write_text("scene_id,im_id,obj_id,score,R,t,time\n1,2\n")
         assert main(eval_args(gt, meshes, results)) == 1
 
+    def test_two_meshes_with_one_id_are_a_data_error(self, tmp_path, capsys):
+        gt, meshes, results = eval_fixture(tmp_path)
+        (meshes / "mesh1.ply").write_text(cube_ply_text())
+        assert main(eval_args(gt, meshes, results)) == 1
+        err = capsys.readouterr().err
+        assert "mesh1.ply" in err and "obj_000001.ply" in err
+
     def test_module_runs_as_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fastpose.cli", "--help"],
@@ -133,6 +143,40 @@ class TestArgumentHandling:
         )
         assert proc.returncode == 0
         assert "eval" in proc.stdout
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `fastpose ...` command in README.md's sh
+    blocks, with backslash continuations joined and heredoc bodies skipped."""
+    commands, in_sh, heredoc, pending = [], False, None, ""
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if heredoc is not None:
+            heredoc = None if line.strip() == heredoc else heredoc
+        elif line.startswith("```"):
+            in_sh = line.strip() == "```sh"
+        elif in_sh:
+            pending += line
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+                continue
+            m = re.search(r"<<-?\s*['\"]?(\w+)", pending)
+            heredoc = m.group(1) if m else None
+            words = shlex.split(pending, comments=True)
+            pending = ""
+            if words[:1] == ["fastpose"]:
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self, capsys):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: fastpose {shlex.join(argv)}\n{capsys.readouterr().err}")
 
 
 class TestEval:
@@ -269,7 +313,7 @@ class TestPruneCommand:
         out = tmp_path / "pruned.json"
         plan_path = tmp_path / "plan.json"
         code = main([
-            "prune", "--model", str(model), "--target", "head",
+            "prune", "--model", str(model),
             "--degree-head", "1", "--plan", str(plan_path), "--out", str(out),
         ])
         assert code == 0
@@ -287,21 +331,20 @@ class TestPruneCommand:
         model = build_model(tmp_path, "m.json")
         capsys.readouterr()
         code = main([
-            "prune", "--model", str(model), "--target", "head",
+            "prune", "--model", str(model),
             "--degree-head", "2", "--out", str(tmp_path / "p.json"),
         ])
         assert code == 1
 
-    def test_degree_outside_the_target_is_a_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("target", ["head", "pnp", "both"])
+    def test_target_option_is_a_usage_error(self, target, tmp_path, capsys):
         model = build_model(tmp_path, "m.json")
         capsys.readouterr()
         out = tmp_path / "p.json"
-        code = main([
-            "prune", "--model", str(model), "--target", "head",
-            "--degree-pnp", "2", "--out", str(out),
-        ])
-        assert code == 1
-        assert "d_pnp must be 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["prune", "--model", str(model), "--target", target, "--degree-head", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -309,7 +352,7 @@ class TestFinetuneCommand:
     def test_finetune_writes_model_and_trace(self, tmp_path, capsys):
         reference = build_model(tmp_path, "ref.json")
         pruned = tmp_path / "pruned.json"
-        main(["prune", "--model", str(reference), "--target", "head",
+        main(["prune", "--model", str(reference),
               "--degree-head", "1", "--out", str(pruned)])
         capsys.readouterr()
         out = tmp_path / "tuned.json"
@@ -496,7 +539,7 @@ class TestNestedOutputPaths:
 
     def test_prune_plan(self, tmp_path, capsys):
         model = build_model(tmp_path, "m.json", module="pnp")
-        text = self.write_both(tmp_path, ["prune", "--model", str(model), "--target", "pnp", "--degree-pnp", "1",
+        text = self.write_both(tmp_path, ["prune", "--model", str(model), "--degree-pnp", "1",
                                           "--out", str(tmp_path / "p.json")], "--plan", "plan.json")
         assert PrunePlan.from_dict(json.loads(text)).removed
 

@@ -22,6 +22,7 @@ from fastpose.datio import (
     write_result_csv,
 )
 from fastpose.errors import (
+    FastposeError,
     IndexOutOfRange,
     InvalidRotation,
     MalformedHeader,
@@ -357,6 +358,15 @@ class TestPlyParsing:
         else:
             text = TRIANGLE_PLY.replace("end_header", "element face 0\nproperty list uchar int vertex_indices\nend_header")
         with pytest.raises(MalformedHeader, match=f"^line {line_no}: element '{element}' is declared twice"):
+            parse_ply(ply_file(tmp_path, text))
+
+    @pytest.mark.parametrize("repeated", ["x", "z", "red"])
+    def test_repeated_vertex_property_rejected(self, tmp_path, repeated):
+        # a later column of the same name would otherwise be read silently: `1 2 3 4` as x = 4
+        text = TRIANGLE_PLY.replace("property float z",
+                                    f"property float z\nproperty uchar red\nproperty float {repeated}")
+        text = text.replace("0 0 0\n1 0 0\n0 1 0", "1 2 3 0 4\n1 0 0 0 1\n0 1 0 0 0")
+        with pytest.raises(MalformedHeader, match=f"^line 8: vertex property '{repeated}' is declared twice"):
             parse_ply(ply_file(tmp_path, text))
 
     def test_index_beyond_int64_names_its_line(self, tmp_path):
@@ -888,6 +898,13 @@ class TestMeshDiscovery:
         found = discover_meshes(tmp_path)
         assert sorted(found) == [3, 7]
         assert found[3].name == "obj_000003.ply"
+
+    @pytest.mark.parametrize("first, second", [("mesh1.ply", "obj_000001.ply"), ("obj_000002.ply", "z_2.ply")])
+    def test_two_files_with_one_id_rejected_naming_both(self, tmp_path, first, second):
+        (tmp_path / first).write_text(TRIANGLE_PLY)
+        (tmp_path / second).write_text(TRIANGLE_PLY)
+        with pytest.raises(FastposeError, match=f"{first} and .*{second} both end in object id"):
+            discover_meshes(tmp_path)
 
     def test_load_object_models_applies_metadata(self, tmp_path):
         (tmp_path / "obj_000001.ply").write_text(cube_ply())

@@ -354,7 +354,7 @@ class TestFineTune:
 
     def test_recovers_pruned_model(self):
         reference = build_toy_gdrn(self.small_cfg(seed=2))
-        plan = plan_prune(reference, PruneConfig(target="head", d_head=1))
+        plan = plan_prune(reference, PruneConfig(d_head=1))
         pruned = apply_prune(reference, plan)
         inputs = make_input_sampler((3, 64, 64), 4, seed=8)
         cfg = DistillConfig(learning_rate=1e-3, epochs=10)
@@ -363,7 +363,7 @@ class TestFineTune:
 
     def test_runs_each_student_layer_once_per_step(self, layer_forward_calls):
         reference = build_toy_gdrn(self.small_cfg(seed=4))
-        pruned = apply_prune(reference, plan_prune(reference, PruneConfig(target="head", d_head=1)))
+        pruned = apply_prune(reference, plan_prune(reference, PruneConfig(d_head=1)))
         inputs = make_input_sampler((3, 64, 64), 3, seed=10)
         fine_tune(pruned, reference, DistillConfig(learning_rate=1e-4, epochs=2), inputs)
         # each head upsample is fused into the conv after it and never runs
@@ -382,7 +382,7 @@ class TestFineTune:
 
     def test_matches_distill_train_without_adapter(self):
         reference = build_toy_gdrn(self.small_cfg(seed=6))
-        pruned = apply_prune(reference, plan_prune(reference, PruneConfig(target="head", d_head=1)))
+        pruned = apply_prune(reference, plan_prune(reference, PruneConfig(d_head=1)))
         twin = copy.deepcopy(pruned)
         inputs = make_input_sampler((3, 64, 64), 2, seed=11)
         cfg = DistillConfig(learning_rate=1e-3, epochs=2)

@@ -94,7 +94,7 @@ def test_eval_crowd_bytes(generate, tmp_path, capsys):
 ROUND_TRIP = (
     ("build-teacher", ["build", "--config", "cfg.json", "--module", "full", "--seed", "3", "--out", "teacher.json"]),
     ("build-student", ["build", "--config", "cfg.json", "--module", "full", "--seed", "9", "--out", "student.json"]),
-    ("prune", ["prune", "--model", "teacher.json", "--target", "head", "--degree-head", "1",
+    ("prune", ["prune", "--model", "teacher.json", "--degree-head", "1",
                "--plan", "plan.json", "--out", "pruned.json"]),
     ("finetune", ["finetune", "--model", "pruned.json", "--reference", "teacher.json", "--epochs", "2",
                   "--lr", "0.01", "--samples", "3", "--trace", "finetune.csv", "--out", "tuned.json"]),

@@ -13,6 +13,7 @@ from fastpose.net import (
     count_flops,
     count_params,
 )
+from fastpose.net.toy import PRUNABLE_MODULES
 from fastpose.prune import (
     PruneConfig,
     _delete,
@@ -22,7 +23,6 @@ from fastpose.prune import (
     find_prunable,
     plan_prune,
     plan_prune_layers,
-    rank_filters_l1,
 )
 
 from oracles import zero_path_reference
@@ -34,30 +34,12 @@ def small_cfg(**kw) -> ToyConfig:
     return ToyConfig(**base)
 
 
-def conv_weights(values) -> np.ndarray:
-    """1x1 single-input conv weight with the given per-filter values."""
-    arr = np.asarray(values, dtype=np.float32)
-    return arr.reshape(len(values), 1, 1, 1)
-
-
 class TestRanking:
     def test_l1_norms_sum_absolute_filter_entries(self):
         w = np.array(
             [[[[1.0]], [[-2.0]]], [[[3.0]], [[4.0]]]], dtype=np.float32
         )
         np.testing.assert_array_equal(filter_l1_norms(w), [3.0, 7.0])
-
-    def test_rank_orders_by_l1(self):
-        w = conv_weights([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(rank_filters_l1(w), [1, 2, 0])
-
-    def test_zero_filter_ranks_first(self):
-        w = conv_weights([5.0, 0.0, -1.0])
-        assert rank_filters_l1(w)[0] == 1
-
-    def test_ties_keep_lower_index_first(self):
-        w = conv_weights([2.0, 1.0, -1.0])
-        np.testing.assert_array_equal(rank_filters_l1(w), [1, 2, 0])
 
 
 class TestFindPrunable:
@@ -88,31 +70,31 @@ class TestFindPrunable:
 class TestPlanning:
     def test_zero_degrees_give_empty_plan(self):
         g = build_toy_gdrn(small_cfg())
-        assert plan_prune(g, PruneConfig(target="both")).is_empty
+        assert plan_prune(g, PruneConfig()).is_empty
 
     def test_zeroed_group_is_selected(self):
         g = build_toy_head(small_cfg(head_width=64))
         conv = next(l for l in g.layers if l.name == "head.conv1")
         conv.weight[24:32] = 0.0
-        plan = plan_prune(g, PruneConfig(target="head", d_head=1))
+        plan = plan_prune(g, PruneConfig(d_head=1))
         assert plan.removed["head.conv1"] == tuple(range(24, 32))
 
     def test_default_width_max_degree_removes_248(self):
         g = build_toy_head(ToyConfig())
-        plan = plan_prune(g, PruneConfig(target="head", d_head=31))
+        plan = plan_prune(g, PruneConfig(d_head=31))
         for name in ("head.conv1", "head.conv2", "head.conv3"):
             assert len(plan.removed[name]) == 248
 
     def test_planning_is_deterministic(self):
         g = build_toy_gdrn(small_cfg(seed=2))
-        cfg = PruneConfig(target="both", d_head=1, d_pnp=1)
+        cfg = PruneConfig(d_head=1, d_pnp=1)
         assert plan_prune(g, cfg).removed == plan_prune(g, cfg).removed
 
     def test_degree_equal_to_group_count_rejected(self):
         # head_width=16 with groups of 8 has only two groups.
         g = build_toy_head(small_cfg())
         with pytest.raises(TooAggressive):
-            plan_prune(g, PruneConfig(target="head", d_head=2))
+            plan_prune(g, PruneConfig(d_head=2))
 
     def test_unknown_layer_rejected(self):
         g = build_toy_head(small_cfg())
@@ -127,7 +109,7 @@ class TestPlanning:
     def test_no_prunable_convs_under_prefix_rejected(self):
         g = LayerGraph((3, 4, 4), [])
         with pytest.raises(InconsistentPlan):
-            plan_prune(g, PruneConfig(target="head", d_head=1))
+            plan_prune(g, PruneConfig(d_head=1))
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
@@ -135,12 +117,30 @@ class TestPlanning:
         with pytest.raises(InvalidConfig):
             PruneConfig(d_head=-1)
 
-    @pytest.mark.parametrize("target, degrees", [
-        ("head", dict(d_pnp=2)), ("head", dict(d_head=1, d_pnp=1)), ("pnp", dict(d_head=1)),
+    @pytest.mark.parametrize("target", ["head", "pnp", ""])
+    def test_target_other_than_both_rejected(self, target):
+        with pytest.raises(InvalidConfig, match="the degrees pick the modules"):
+            PruneConfig(target=target, d_head=1)
+
+    @pytest.mark.parametrize("degrees, touched", [
+        (dict(d_head=1), ("head.",)), (dict(d_pnp=1), ("pnp.",)), (dict(d_head=1, d_pnp=1), ("head.", "pnp.")),
     ])
-    def test_degree_outside_the_target_rejected(self, target, degrees):
-        with pytest.raises(InvalidConfig, match="so d_"):
-            PruneConfig(target=target, **degrees)
+    def test_zero_degree_leaves_its_module_alone(self, degrees, touched):
+        g = build_toy_gdrn(small_cfg(pnp_width=12))
+        plan = plan_prune(g, PruneConfig(**degrees))
+        expected = {conv.name for conv, _ in find_prunable(g, prefixes=touched)}
+        assert set(plan.removed) == expected
+        assert plan.removed == plan_prune(g, PruneConfig(target="both", **degrees)).removed
+
+    def test_module_table_matches_the_toy_network(self):
+        # find_prunable's default covers the table's modules, each of whose
+        # convs feeds norms of the table's group size
+        g = build_toy_gdrn(small_cfg())
+        by_module = [find_prunable(g, prefixes=(prefix,)) for prefix, _, _ in PRUNABLE_MODULES]
+        assert find_prunable(g) == [pair for pairs in by_module for pair in pairs]
+        for (_, key, group), pairs in zip(PRUNABLE_MODULES, by_module):
+            assert getattr(PruneConfig(**{key: 1}), key) == 1
+            assert {gsize for _, gsize in pairs} == {group}
 
 
 class TestPlanDocument:
@@ -193,7 +193,7 @@ class TestApply:
 
     def test_pruned_forward_matches_zeroed_reference(self):
         g = build_toy_gdrn(small_cfg(seed=7))
-        plan = plan_prune(g, PruneConfig(target="both", d_head=1, d_pnp=1))
+        plan = plan_prune(g, PruneConfig(d_head=1, d_pnp=1))
         pruned = apply_prune(g, plan)
         ref = zero_path_reference(g, plan)
         gen = np.random.default_rng(11)
@@ -207,12 +207,12 @@ class TestApply:
             name: {k: v.copy() for k, v in params.items()}
             for name, params in g.params().items()
         }
-        apply_prune(g, plan_prune(g, PruneConfig(target="head", d_head=1)))
+        apply_prune(g, plan_prune(g, PruneConfig(d_head=1)))
         for name, params in g.params().items():
             for key, arr in params.items():
                 np.testing.assert_array_equal(arr, before[name][key])
 
-    @pytest.mark.parametrize("config", [PruneConfig(), PruneConfig(target="both", d_head=1, d_pnp=1)],
+    @pytest.mark.parametrize("config", [PruneConfig(), PruneConfig(d_head=1, d_pnp=1)],
                              ids=["empty-plan", "both"])
     def test_pruned_graph_shares_no_parameter_memory(self, config):
         g = build_toy_gdrn(small_cfg(seed=7))
@@ -225,7 +225,7 @@ class TestApply:
 
     def test_pruned_counts_match_network_built_at_degree(self):
         base = build_toy_gdrn(small_cfg(head_width=32, seed=1))
-        plan = plan_prune(base, PruneConfig(target="both", d_head=1, d_pnp=1))
+        plan = plan_prune(base, PruneConfig(d_head=1, d_pnp=1))
         pruned = apply_prune(base, plan)
         rebuilt = build_toy_gdrn(small_cfg(head_width=32, d_head=1, d_pnp=1))
         assert count_flops(pruned).total_macs == count_flops(rebuilt).total_macs
@@ -233,7 +233,7 @@ class TestApply:
 
     def test_meta_config_tracks_degrees(self):
         g = build_toy_gdrn(small_cfg(head_width=32))
-        plan = plan_prune(g, PruneConfig(target="both", d_head=1, d_pnp=1))
+        plan = plan_prune(g, PruneConfig(d_head=1, d_pnp=1))
         tc = apply_prune(g, plan).meta["toy_config"]
         assert tc["d_head"] == 1
         assert tc["d_pnp"] == 1

@@ -477,7 +477,7 @@ class TestUpsampleConvFusion:
 
     def test_pruned_default_config_recorded_forward_is_the_plain_forward(self, layer_forward_calls):
         full = build_toy_gdrn(ToyConfig())
-        g = apply_prune(full, plan_prune(full, PruneConfig(target="both", d_head=16, d_pnp=16)))
+        g = apply_prune(full, plan_prune(full, PruneConfig(d_head=16, d_pnp=16)))
         x = np.random.default_rng(2).standard_normal(g.input_shape).astype(np.float32)
         y, _ = g.forward(x, record=True)
         assert y.tobytes() == g.forward(x).tobytes()
