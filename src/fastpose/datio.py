@@ -263,7 +263,8 @@ def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     n_vertices, n_faces = counts["vertex"], counts.get("face", 0)
     if len(body) < n_vertices + n_faces:
         raise MalformedLine(body_start + len(body) + 1, "file ends before all elements are read")
-    xyz, width = [vertex_props.index(a) for a in "xyz"], len(vertex_props)
+    xyz = [vertex_props.index(a) for a in "xyz"]
+    width = len(vertex_props)
     arrays, start = {"face": np.empty((0, 3), np.int64)}, 0
     for name, count in counts.items():  # header order, so the first failing line raises
         if name == "vertex":
