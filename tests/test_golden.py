@@ -13,6 +13,12 @@ left out.
 The round trip (build twice, prune, finetune, distill) runs in-process in a
 temporary working directory, so the model paths its commands print are
 relative and its bytes do not depend on where the test runs.
+
+The network bytes pin one forward(record=True) and backward pass of the
+default-width toy network, its d_head=2, d_pnp=3 pruned variant and a head
+graph, on fixed float32 inputs and upstreams: every plain conv (stride-2
+backbone and regressor, 1x1 head.out) and every fused upsample-conv at the
+width the benchmark runs, which the 8/16/8/4 round trip does not reach.
 """
 
 from __future__ import annotations
@@ -23,9 +29,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fastpose import rng
 from fastpose.cli import main
+from fastpose.net import ToyConfig, build_toy_gdrn, build_toy_head
+from fastpose.prune import PruneConfig, apply_prune, plan_prune
 
 SEED = 701
 BOP_REPORTS = "44cb4366c56163b099b40c49f372a22f9e845da3f284751ac32f04196a951ed3"
@@ -137,3 +147,23 @@ def test_compression_round_trip_bytes(tmp_path, monkeypatch, capsys):
         if path.name != "cfg.json":
             digests[path.name] = digest([path])
     assert digests == ROUND_TRIP_BYTES
+
+
+NETWORK_BYTES = "1a2b4d758eb2215962deae10b01ed8a98a54940165f616653c5dd3c0691c3bbe"
+
+
+def test_network_forward_and_backward_bytes():
+    full = build_toy_gdrn(ToyConfig())
+    graphs = (full, apply_prune(full, plan_prune(full, PruneConfig(d_head=2, d_pnp=3))), build_toy_head(ToyConfig()))
+    h = hashlib.sha256()
+    for i, graph in enumerate(graphs):
+        gen = rng.derive(SEED, f"network-bytes-{i}")
+        x = gen.standard_normal(graph.input_shape).astype(np.float32)
+        upstream = gen.standard_normal(graph.output_shape).astype(np.float32)
+        y, tape = graph.forward(x, record=True)
+        grads, gx = graph.backward(tape, upstream)
+        arrays = [y, gx] + [grads[name][key] for name in sorted(grads) for key in sorted(grads[name])]
+        assert all(a.dtype == np.float32 for a in arrays)
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == NETWORK_BYTES
