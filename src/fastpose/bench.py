@@ -58,9 +58,8 @@ def measure_latency(graph: LayerGraph, iterations: int = DEFAULT_ITERATIONS, war
         start = time.perf_counter_ns()
         graph.forward(x)
         times.append((time.perf_counter_ns() - start) / 1e6)
-    flops = count_flops(graph)
     return LatencyRecord(label=label, times_ms=tuple(times),
-                         flops=flops.total_macs, params=count_params(graph))
+                         flops=count_flops(graph).total_macs, params=count_params(graph))
 
 
 def format_latency_csv(records: list[LatencyRecord]) -> str:
@@ -113,15 +112,16 @@ def read_runs_csv(path) -> list[RunRecord]:
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise EmptyInput(f"{path}: no rows")
+    header_no = rows[0][0]
     header = [h.strip() for h in rows[0][1].split(",")]
     cols = {name: i for i, name in enumerate(header)}
     repeated = [name for i, name in enumerate(header) if cols[name] != i]
     if repeated:
-        raise MalformedLine(1, f"header names column {repeated[0]!r} more than once")
+        raise MalformedLine(header_no, f"header names column {repeated[0]!r} more than once")
     if "label" not in cols or "ar" not in cols:
-        raise MalformedLine(1, "header must name 'label' and 'ar' columns")
+        raise MalformedLine(header_no, "header must name 'label' and 'ar' columns")
     if not any(n in cols for n in ("latency_ms", "median_ms", "mean_ms")):
-        raise MalformedLine(1, "header must name a latency column (latency_ms, median_ms, or mean_ms)")
+        raise MalformedLine(header_no, "header must name a latency column (latency_ms, median_ms, or mean_ms)")
     entries = []
     for line_no, line in rows[1:]:
         fields = [f.strip() for f in line.split(",")]

@@ -99,13 +99,12 @@ def _cmd_build(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     graph = _BUILDERS[args.module](cfg)
     save_model(graph, args.out)
-    flops = count_flops(graph)
     sys.stdout.write(_json_text({
         "model": str(args.out),
         "module": args.module,
         "input_shape": list(graph.input_shape),
         "output_shape": list(graph.output_shape),
-        "macs": flops.total_macs,
+        "macs": count_flops(graph).total_macs,
         "params": count_params(graph),
     }))
     return 0

@@ -85,7 +85,7 @@ def parse_result_csv(path) -> list[EstimateRecord]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if not rows or rows[0][1].strip() != RESULT_HEADER:
-        raise MalformedLine(1, f"header must be exactly {RESULT_HEADER!r}")
+        raise MalformedLine(rows[0][0] if rows else 1, f"header must be exactly {RESULT_HEADER!r}")
     records = []
     for line_no, line in rows[1:]:
         fields = line.split(",")
@@ -237,6 +237,8 @@ def _ply_arrays(path) -> tuple[np.ndarray, np.ndarray]:
                 raise MalformedHeader(f"line {i}: element {current!r} is declared twice")
             counts[current] = _element_count(parts[2], i)
         elif parts[0] == "property":
+            if len(parts) != (5 if parts[1:2] == ["list"] else 3):
+                raise MalformedHeader(f"line {i}: malformed property declaration {line!r}")
             if current == "vertex":
                 if parts[1] == "list":
                     raise UnsupportedFormat("list properties on vertices are not supported")

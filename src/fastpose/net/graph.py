@@ -55,7 +55,7 @@ class LayerGraph:
             self._by_name[layer.name] = layer
             last_use.update(dict.fromkeys([layer.name, *layer.inputs], layer.name))
             readers.update(layer.inputs)
-        if self.output not in shapes:
+        if not isinstance(self.output, str) or self.output not in shapes:
             raise ShapeMismatch(f"output layer {self.output!r} not in graph")
         self._shapes = shapes
 

@@ -7,11 +7,12 @@ production graphs; tests may run graphs in float64), except group-norm
 statistics, whose sums accumulate in float64; the normalise-and-affine body
 runs in the activation's dtype.
 
-Conv2D.forward/backward also take upsampled=True, which LayerGraph passes
-for a 3x3, stride-1, padding-1 conv whose input is a nearest 2x upsample
-read by nothing else: the conv then receives the upsample's low-resolution
-input and computes conv(upsample(x)) as four 2x2 sub-pixel convs, one per
-output phase, without materialising the upsample.
+Conv2D runs as a list of output phases, each a GEMM of a weight matrix with
+im2col columns plus the bias; a plain conv is one phase. forward/backward
+also take upsampled=True, which LayerGraph passes for a 3x3, stride-1,
+padding-1 conv whose input is a nearest 2x upsample read by nothing else:
+the conv then receives the upsample's low-resolution input and computes
+conv(upsample(x)) as four 2x2 sub-pixel phases, without building the upsample.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ class Conv2D(Layer):
         _require(self.bias.shape == (self.weight.shape[0],), f"{name}: bias shape mismatch")
         self.stride = int(stride)
         self.padding = int(padding)
+        _require(self.stride >= 1 and self.padding >= 0, f"{name}: stride must be >= 1 and padding >= 0")
 
     @property
     def out_channels(self):
@@ -155,76 +157,59 @@ class Conv2D(Layer):
         _require(hout >= 1 and wout >= 1, f"{self.name}: output collapses to zero size")
         return (self.out_channels, hout, wout)
 
-    def _cols(self, x):
+    def _plan(self, x, upsampled):
+        """(r, (h, w), padding, phases): phase (a, b) is the h x w output grid at
+        rows r*p + a, columns r*q + b, the (out, in*k*k) GEMM weight applied to
+        the k x k windows of view, the padded input from offset (a, b). A plain
+        conv is phase (0, 0) of its own weight (taps None); an upsampled one,
+        four 2x2 phases of the 3x3 weight times their taps, built lazily."""
         _, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
-        hout = _conv_out(h, k, s, p)
-        wout = _conv_out(w, k, s, p)
-        return _im2col(_pad(x, p), k, s, hout, wout), (hout, wout)
-
-    def _phases(self):
-        """(a, b, weight) per output phase of the sub-pixel form: the (out,
-        in*2*2) weight of the 2x2 conv that yields output rows 2p + a,
-        columns 2q + b. Rebuilt from the 3x3 weight on every call."""
-        w9 = self.weight.reshape(-1, 9)
-        for (a, b), taps in _PHASE_TAPS.items():
-            yield a, b, (w9 @ taps.astype(w9.dtype)).reshape(self.out_channels, -1)
+        if not upsampled:
+            k, s, p = self.kernel, self.stride, self.padding
+            weight = self.weight.reshape(self.out_channels, -1)
+            return 1, (_conv_out(h, k, s, p), _conv_out(w, k, s, p)), p, [(0, 0, weight, _pad(x, p), k, s, None)]
+        xp, w9 = _pad(x, 1), self.weight.reshape(-1, 9)
+        phases = (
+            (a, b, (w9 @ taps.astype(w9.dtype)).reshape(self.out_channels, -1), xp[:, a:, b:], 2, 1, taps)
+            for (a, b), taps in _PHASE_TAPS.items()
+        )
+        return 2, (h, w), 1, phases
 
     def forward(self, xs, upsampled=False):
         """With upsampled=True, xs holds the low-resolution input of a nearest
         2x upsample, and the output is this conv applied to its upsampling."""
         (x,) = xs
         _require(x.ndim == 3 and x.shape[0] == self.in_channels, f"{self.name}: bad input shape {x.shape}")
-        if upsampled:
-            return self._forward_upsampled(x), x
-        cols, (hout, wout) = self._cols(x)
-        w2d = self.weight.reshape(self.out_channels, -1)
-        y = (w2d @ cols + self.bias[:, None]).reshape(self.out_channels, hout, wout)
-        return y, x
-
-    def _forward_upsampled(self, x):
-        out, (_, h, w) = self.out_channels, x.shape
-        xp = _pad(x, 1)
-        y = np.empty((out, h, 2, w, 2), dtype=np.result_type(self.weight, x, self.bias))
-        for a, b, wp in self._phases():
-            cols = _im2col(xp[:, a:, b:], 2, 1, h, w)
-            np.add((wp @ cols).reshape(out, h, w), self.bias[:, None, None], out=y[:, :, a, :, b])
-        return y.reshape(out, 2 * h, 2 * w)
+        out = self.out_channels
+        r, (h, w), _, phases = self._plan(x, upsampled)
+        y = np.empty((out, h, r, w, r), dtype=np.result_type(self.weight, x, self.bias))
+        for a, b, weight, view, k, s, _ in phases:
+            cols = _im2col(view, k, s, h, w)
+            np.add((weight @ cols).reshape(out, h, w), self.bias[:, None, None], out=y[:, :, a, :, b])
+        return y.reshape(out, r * h, r * w), x
 
     def backward(self, gy, cache, upsampled=False):
         """upsampled must match the forward call that made the cache; the input
         gradient is then w.r.t. the low-resolution input."""
         x = cache
-        out = self.out_channels
-        g2d = gy.reshape(out, -1)
-        gb = g2d.sum(axis=1)
-        if upsampled:
-            gx, gw = self._backward_upsampled(gy, x)
-            return [gx], {"weight": gw, "bias": gb}
-        # forward keeps x, not its k*k times larger columns: rebuild them, for gw only
-        gw = (g2d @ self._cols(x)[0].T).reshape(self.weight.shape)
-        gcols = self.weight.reshape(out, -1).T @ g2d  # (c*k*k, hout*wout)
-
-        c, h, w = x.shape
-        p = self.padding
-        gxp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=gy.dtype)
-        _col2im_add(gxp, gcols, self.kernel, self.stride, gy.shape[1], gy.shape[2])
-        gx = gxp[:, p : p + h, p : p + w] if p else gxp
-        return [gx], {"weight": gw, "bias": gb}
-
-    def _backward_upsampled(self, gy, x):
-        out, (c, h, w) = self.out_channels, x.shape
-        xp = _pad(x, 1)
-        gy_phases = gy.reshape(out, h, 2, w, 2)
-        gw9 = np.zeros((out * c, 9), dtype=gy.dtype)
-        gxp = np.zeros((c, h + 2, w + 2), dtype=gy.dtype)
-        for a, b, wp in self._phases():
+        out, (c, hin, win) = self.out_channels, x.shape
+        gb = gy.reshape(out, -1).sum(axis=1)
+        r, (h, w), p, phases = self._plan(x, upsampled)
+        gy_phases = gy.reshape(out, h, r, w, r)
+        gw = np.zeros((out * c, 9), dtype=gy.dtype) if upsampled else None
+        gxp = None
+        for a, b, weight, view, k, s, taps in phases:
             g2d = np.ascontiguousarray(gy_phases[:, :, a, :, b]).reshape(out, h * w)
-            cols = _im2col(xp[:, a:, b:], 2, 1, h, w)
-            # a phase weight is the 3x3 weight times the tap sums: the transpose maps its gradient back
-            gw9 += (g2d @ cols.T).reshape(out * c, 4) @ _PHASE_TAPS[a, b].T.astype(gw9.dtype)
-            _col2im_add(gxp[:, a:, b:], wp.T @ g2d, 2, 1, h, w)
-        return gxp[:, 1 : h + 1, 1 : w + 1], gw9.reshape(self.weight.shape)
+            # forward keeps x, not its k*k times larger columns: rebuild them, for the weight gradient only
+            gphase = g2d @ _im2col(view, k, s, h, w).T
+            if taps is None:  # its own GEMM: adding it to zeros would turn -0.0 into +0.0
+                gw = gphase
+            else:  # a phase weight is the 3x3 weight times the tap sums: the transpose maps its gradient back
+                gw += gphase.reshape(out * c, 4) @ taps.T.astype(gw.dtype)
+            gcols = weight.T @ g2d
+            gxp = np.zeros((c, hin + 2 * p, win + 2 * p), dtype=gy.dtype) if gxp is None else gxp
+            _col2im_add(gxp[:, a:, b:], gcols, k, s, h, w)
+        return [gxp[:, p : p + hin, p : p + win]], {"weight": gw.reshape(self.weight.shape), "bias": gb}
 
     def flops(self, in_shapes):
         cout, hout, wout = self.out_shape(in_shapes)
@@ -253,7 +238,8 @@ class GroupNorm(Layer):
         _require(self.gamma.ndim == 1 and self.gamma.shape == self.beta.shape, f"{name}: gamma/beta mismatch")
         self.group_size = int(group_size)
         self.eps = float(eps)
-        _require(self.channels % self.group_size == 0, f"{name}: channels not divisible by group size")
+        _require(self.group_size >= 1 and self.channels % self.group_size == 0,
+                 f"{name}: group size must be >= 1 and divide the channels")
 
     @property
     def channels(self):

@@ -9,6 +9,7 @@ identically across platforms.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,36 +62,46 @@ def save_model(graph: LayerGraph, path: str | Path) -> Path:
     return path
 
 
+def _ints(value, where: str, n: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers (a bool or a float is none), n of them if given."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value) or n not in (None, len(value)):
+        raise SchemaViolation(where, f"expected a list of {'' if n is None else f'{n} '}integers, got {value!r}")
+    return tuple(value)
+
+
 def _build_layer(entry: dict, weights: np.ndarray, where: str):
-    kind = _need(entry, "kind", where)
+    kind = _need(entry, "kind", where, str)
     if kind not in LAYER_KINDS:
         raise UnsupportedFormat(f"{where}: unknown layer kind {kind!r}")
-    name = _need(entry, "name", where)
-    inputs = _need(entry, "inputs", where)
-    config = entry.get("config", {})
-    refs = entry.get("params", {})
-    for key, value in (("config", config), ("params", refs)):
-        if not isinstance(value, dict):
-            raise SchemaViolation(f"{where}.{key}", "must be a JSON object")
+    name = _need(entry, "name", where, str)
+    inputs = _need(entry, "inputs", where, list)
+    if not all(isinstance(i, str) for i in inputs) or (kind != "concat" and len(inputs) != 1):
+        raise SchemaViolation(f"{where}.inputs", f"expected a list of layer names, one for a {kind} layer")
+    entry = {"config": {}, "params": {}, **entry}
+    config = _need(entry, "config", where, dict)
+    refs = _need(entry, "params", where, dict)
     params = {}
     for key, ref in refs.items():
-        off = int(_need(ref, "offset", f"{where}.params.{key}"))
-        shape = tuple(int(d) for d in _need(ref, "shape", f"{where}.params.{key}"))
-        size = int(np.prod(shape)) if shape else 1
-        if off < 0 or off + size > weights.size:
+        off = _need(ref, "offset", f"{where}.params.{key}", int)
+        shape = _ints(_need(ref, "shape", f"{where}.params.{key}"), f"{where}.params.{key}.shape")
+        size = math.prod(shape)
+        if off < 0 or min(shape, default=0) < 0 or off + size > weights.size:
             raise SchemaViolation(f"{where}.params.{key}", "offset/shape outside weights file")
         params[key] = weights[off : off + size].reshape(shape).astype(np.float32)
 
     cls = LAYER_KINDS[kind]
     args = [_need(params, key, f"{where}.params") for key in cls.param_names]
+    config = {"stride": 1, "padding": 0, "eps": 1e-5, "ranges": [], **config}  # the defaults of absent keys
+    where = f"{where}.config"
     if kind == "conv2d":
-        return Conv2D(name, inputs, *args,
-                      stride=int(config.get("stride", 1)), padding=int(config.get("padding", 0)))
+        return Conv2D(name, inputs, *args, stride=_need(config, "stride", where, int),
+                      padding=_need(config, "padding", where, int))
     if kind == "groupnorm":
-        return GroupNorm(name, inputs, *args,
-                         group_size=int(_need(config, "group_size", where)), eps=float(config.get("eps", 1e-5)))
+        return GroupNorm(name, inputs, *args, group_size=_need(config, "group_size", where, int),
+                         eps=_need(config, "eps", where, (int, float)))
     if kind == "concat":
-        ranges = [tuple(r) if r is not None else None for r in config.get("ranges", [])]
+        ranges = _need(config, "ranges", where, list)
+        ranges = [r if r is None else _ints(r, f"{where}.ranges[{i}]", 2) for i, r in enumerate(ranges)]
         return ConcatChannels(name, inputs, ranges=ranges or None)
     # dense / relu / upsample2x / flatten carry no config
     return cls(name, inputs, *args)
@@ -108,11 +119,10 @@ def load_model(path: str | Path) -> LayerGraph:
         raise UnsupportedFormat(f"{path}: format is not {FORMAT_NAME!r}")
     if manifest.get("version") != FORMAT_VERSION:
         raise UnsupportedFormat(f"{path}: unsupported version {manifest.get('version')!r}")
-    weights_file = path.parent / _need(manifest, "weights_file", "$")
+    weights_file = path.parent / _need(manifest, "weights_file", "$", str)
     weights = np.frombuffer(weights_file.read_bytes(), dtype="<f4")
-    input_shape = tuple(int(d) for d in _need(manifest, "input_shape", "$"))
-    entries = _need(manifest, "layers", "$")
-    if not isinstance(entries, list):
-        raise SchemaViolation("$.layers", "must be a list")
+    input_shape = _ints(_need(manifest, "input_shape", "$"), "$.input_shape")
+    entries = _need(manifest, "layers", "$", list)
     layers = [_build_layer(e, weights, f"$.layers[{i}]") for i, e in enumerate(entries)]
-    return LayerGraph(input_shape, layers, output=manifest.get("output"), meta=manifest.get("meta", {}))
+    manifest = {"meta": {}, **manifest}
+    return LayerGraph(input_shape, layers, output=manifest.get("output"), meta=_need(manifest, "meta", "$", dict))

@@ -252,6 +252,16 @@ class TestReadRunsCsv:
             read_runs_csv(self.write(tmp_path, "label,ar,latency_ms\nm,0.5\n"))
         assert "2" in str(exc.value)
 
+    @pytest.mark.parametrize("header, message", [
+        ("label,ar,ar,latency_ms", "more than once"),
+        ("label,latency_ms", "'label' and 'ar'"),
+        ("label,ar,flops", "latency column"),
+    ])
+    def test_header_error_names_the_header_line(self, tmp_path, header, message):
+        with pytest.raises(MalformedLine, match=message) as exc:
+            read_runs_csv(self.write(tmp_path, f"\n\n{header}\nm,0.5,1,1\n"))
+        assert exc.value.line_no == 3
+
     def test_error_line_counts_blank_lines(self, tmp_path):
         text = "label,ar,latency_ms\n\nm,0.5,1\n\nm,high,1\n"
         with pytest.raises(MalformedLine) as exc:

@@ -475,6 +475,48 @@ class TestBenchCommand:
         assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0"]) == 1
         assert "params.weight" in capsys.readouterr().err
 
+    # pnp manifest layers: 0 concat, 1 conv1, 2 gn1, 3 relu1, ..., 10 flatten, 11 fc1
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d: d["layers"][2]["config"].update(group_size=0), "pnp.gn1: group size"),
+        (lambda d: d["layers"][1]["config"].update(stride=0), "pnp.conv1: stride"),
+        (lambda d: d["layers"][1]["config"].update(padding=-1), "pnp.conv1: stride"),
+        (lambda d: d["layers"][1]["config"].update(stride=None), "$.layers[1].config.stride"),
+        (lambda d: d["layers"][1]["config"].update(stride=True), "$.layers[1].config.stride"),
+        (lambda d: d["layers"][1]["config"].update(stride=1.5), "$.layers[1].config.stride"),
+        (lambda d: d["layers"][2]["config"].update(group_size=2.5), "$.layers[2].config.group_size"),
+        (lambda d: d["layers"][2]["config"].update(eps=[1]), "$.layers[2].config.eps"),
+        (lambda d: d["layers"][1]["params"]["weight"].update(offset=0.5), "$.layers[1].params.weight.offset"),
+        (lambda d: d["layers"][1]["params"]["weight"].update(shape=[-1, 8, 3, 3]), "$.layers[1].params.weight"),
+        (lambda d: d["layers"][1]["params"]["weight"].update(shape=5), "$.layers[1].params.weight.shape"),
+        (lambda d: d["layers"][1].update(inputs=5), "$.layers[1].inputs"),
+        (lambda d: d["layers"][1].update(inputs="@input"), "$.layers[1].inputs"),
+        (lambda d: d["layers"][1].update(inputs=[5]), "$.layers[1].inputs"),
+        (lambda d: d["layers"][3].update(inputs=[]), "$.layers[3].inputs"),
+        (lambda d: d["layers"][10].update(inputs=["pnp.relu3", "pnp.relu3"]), "$.layers[10].inputs"),
+        (lambda d: d["layers"][1].update(kind=["conv2d"]), "$.layers[1].kind"),
+        (lambda d: d["layers"][1].update(name=7), "$.layers[1].name"),
+        (lambda d: d["layers"][0]["config"].update(ranges=5), "$.layers[0].config.ranges"),
+        (lambda d: d["layers"][0]["config"].update(ranges=[[0, 4], [5]]), "$.layers[0].config.ranges[1]"),
+        (lambda d: d["layers"][0]["config"].update(ranges=[[0, 4], [5.0, 9]]), "$.layers[0].config.ranges[1]"),
+        (lambda d: d.update(meta=[1]), "$.meta"),
+        (lambda d: d.update(output=[1]), "output layer [1]"),
+        (lambda d: d.update(input_shape=[10, 64.0, 64]), "$.input_shape"),
+        (lambda d: d.update(weights_file=5), "$.weights_file"),
+    ], ids=["group-size-0", "stride-0", "padding-negative", "stride-null", "stride-bool", "stride-fraction",
+            "group-size-fraction", "eps-list", "offset-fraction", "shape-negative", "shape-number", "inputs-number",
+            "inputs-string", "inputs-of-numbers", "relu-without-input", "flatten-with-two-inputs", "kind-list",
+            "name-number", "ranges-number", "range-of-one", "range-of-a-float", "meta-list", "output-list",
+            "input-shape-float", "weights-file-number"])
+    def test_mutated_manifest_is_a_data_error(self, tmp_path, capsys, mutate, where):
+        model = build_model(tmp_path, "m.json", module="pnp")
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+
     def test_label_with_a_comma_is_a_data_error_and_writes_nothing(self, tmp_path, capsys):
         model = build_model(tmp_path, "m.json", module="pnp")
         capsys.readouterr()

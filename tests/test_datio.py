@@ -129,6 +129,12 @@ class TestResultCsvParsing:
         )
         assert len(records) == 1
 
+    def test_header_error_names_the_header_line(self, tmp_path):
+        path = result_file(tmp_path, "", "", HEADER.replace(",time", ""), IDENTITY_LINE)
+        with pytest.raises(MalformedLine, match="header must be exactly") as exc:
+            parse_result_csv(path)
+        assert exc.value.line_no == 3
+
 
 class TestResultCsvSerialization:
     def test_empty_list_gives_header_only(self):
@@ -367,6 +373,27 @@ class TestPlyParsing:
                                     f"property float z\nproperty uchar red\nproperty float {repeated}")
         text = text.replace("0 0 0\n1 0 0\n0 1 0", "1 2 3 0 4\n1 0 0 0 1\n0 1 0 0 0")
         with pytest.raises(MalformedHeader, match=f"^line 8: vertex property '{repeated}' is declared twice"):
+            parse_ply(ply_file(tmp_path, text))
+
+    @pytest.mark.parametrize("old, new, line_no", [
+        ("property float y", "property", 5),
+        ("property float y", "property float", 5),
+        ("property float y", "property y", 5),
+        ("property float y", "property float y extra", 5),
+        ("property list uchar int vertex_indices", "property", 8),
+        ("property list uchar int vertex_indices", "property list", 8),
+        ("property list uchar int vertex_indices", "property list uchar vertex_indices", 8),
+        ("property list uchar int vertex_indices", "property list uchar int int vertex_indices", 8),
+    ], ids=["vertex-bare", "vertex-type-only", "vertex-name-only", "vertex-extra", "face-bare", "face-list-only",
+            "face-one-type", "face-three-types"])
+    def test_property_with_the_wrong_token_count_is_malformed(self, tmp_path, old, new, line_no):
+        with pytest.raises(MalformedHeader, match=f"^line {line_no}: malformed property declaration"):
+            parse_ply(ply_file(tmp_path, TRIANGLE_PLY.replace(old, new)))
+
+    @pytest.mark.parametrize("face_property", ["property list uchar int colours", "property uchar red"])
+    def test_well_formed_face_property_other_than_the_indices_is_unsupported(self, tmp_path, face_property):
+        text = TRIANGLE_PLY.replace("property list uchar int vertex_indices", face_property)
+        with pytest.raises(UnsupportedFormat):
             parse_ply(ply_file(tmp_path, text))
 
     def test_index_beyond_int64_names_its_line(self, tmp_path):

@@ -200,6 +200,20 @@ class TestGraphStructure:
         with pytest.raises(ShapeMismatch):
             LayerGraph((1, 4, 4), [ReLU("a", ["@input"])], output="zz")
 
+    def test_output_that_is_not_a_layer_name_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            LayerGraph((1, 4, 4), [ReLU("a", ["@input"])], output=["a"])
+
+    @pytest.mark.parametrize("make", [
+        lambda: Conv2D("c", ["@input"], np.zeros((2, 1, 3, 3)), np.zeros(2), stride=0),
+        lambda: Conv2D("c", ["@input"], np.zeros((2, 1, 3, 3)), np.zeros(2), padding=-1),
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=0),
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=-2),
+    ], ids=["conv-stride-0", "conv-padding-negative", "norm-group-size-0", "norm-group-size-negative"])
+    def test_layer_constructor_rejects_a_degenerate_stride_padding_or_group(self, make):
+        with pytest.raises(ShapeMismatch):
+            make()
+
     def test_forward_rejects_wrong_input_shape(self):
         g = LayerGraph((1, 4, 4), [ReLU("a", ["@input"])])
         with pytest.raises(ShapeMismatch):
