@@ -23,6 +23,8 @@ from .errors import (
 ROTATION_TOL = 1e-6
 DIAMETER_RTOL = 1e-6
 _BLOCK_ELEMS = 1 << 15  # distances per block: a 256 KiB block and its 256 KiB term stay in the L2 cache
+_SCREEN_MIN = 48  # matrices from which is_rotation screens a stack before the exact check
+_SCREEN_MARGIN = 1e-10  # is_rotation's screen band around tol: over 30 times the rounding it covers
 
 
 def _array(value, shape, name: str) -> np.ndarray:
@@ -33,14 +35,68 @@ def _array(value, shape, name: str) -> np.ndarray:
     return arr
 
 
-def is_rotation(matrix: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    """Per 3x3 matrix of a (..., 3, 3) stack: finite, orthonormal and with
-    determinant +1 within `tol`."""
-    m = np.asarray(matrix, dtype=np.float64)
+def _is_rotation_exact(m: np.ndarray, tol: float) -> np.ndarray:
+    """is_rotation's definition: the largest |m^T m - I| entry, by matmul,
+    and |det(m) - 1|, by np.linalg.det, both at most `tol`."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     m = np.where(finite[..., None, None], m, 0.0)  # keeps inf/nan out of matmul and det
     ortho = np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)).max(axis=(-2, -1)) <= tol
     return finite & ortho & (np.abs(np.linalg.det(m) - 1.0) <= tol)
+
+
+def is_rotation(matrix: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+    """Per 3x3 matrix of a (..., 3, 3) stack: finite, orthonormal and with
+    determinant +1 within `tol`, as _is_rotation_exact decides it.
+
+    A stack of at least _SCREEN_MIN matrices, at 0 < tol < 1, is screened
+    first from its entries laid out as (S,) rows: the Gram entries summed
+    explicitly and the determinant by cofactors along the first row. A
+    matrix whose screened deviations are all at most tol - _SCREEN_MARGIN
+    is accepted, one with any above tol + _SCREEN_MARGIN (or NaN) is
+    rejected, and only those in between take the matmul-and-det check.
+
+    The screen decides as the definition does. With tol < 1, a matrix with
+    an entry above 2 in magnitude, or a non-finite one, is rejected by
+    both: its Gram diagonal is NaN, infinite or above 3 either way. For
+    entries at most 2 in magnitude, a Gram entry is a sum of three products
+    of at most 4, so any evaluation order, with or without fused
+    multiply-adds, lands within gamma_3 * 12 < 5e-15 of the true sum;
+    subtracting the identity adds half an ulp of at most 13, and an
+    underflow at most 1e-307. So the two Gram deviations lie within 1.2e-14
+    of each other. The cofactor expansion lands within gamma_5 * 48 < 3e-14
+    of the true determinant. LAPACK's LU with partial pivoting has pivots
+    of at most 8 and a backward error of at most gamma_3 * 24 < 1e-14 per
+    entry (Higham, Accuracy and Stability of Numerical Algorithms, Thm.
+    9.3), which moves the determinant by less than 9 * 8 * 1e-14 < 1e-12
+    through cofactors of at most 8; np.linalg.det multiplies the pivots
+    directly or through their logarithms, which adds less than 1e-12. So
+    the two determinant deviations lie within 3e-12 of each other, and
+    _SCREEN_MARGIN is over 30 times that; tol < 1 keeps the rounding of
+    tol -+ _SCREEN_MARGIN below 2e-16. A smaller stack takes the definition
+    alone, which costs less there than the screen's fixed number of array
+    passes.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.size < 9 * _SCREEN_MIN or not 0.0 < tol < 1.0:
+        return _is_rotation_exact(m, tol)
+    stack = m.reshape(-1, 3, 3)
+    a = np.ascontiguousarray(np.moveaxis(stack, 0, -1))  # a[r, c] is entry (r, c) of every matrix
+    nxt = a[:, [1, 2, 0, 1]]  # column c + 1 at [:, c], column c + 2 at [:, c + 1]
+    dev = np.empty((7,) + a.shape[2:])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan entries give inf or nan deviations
+        np.sum(a * a, axis=0, out=dev[:3])  # Gram (c, c)
+        dev[:3] -= 1.0
+        np.sum(a * nxt[:, :3], axis=0, out=dev[3:6])  # Gram (c, c + 1)
+        cross = nxt[1, :3] * nxt[2, 1:]  # rows 1 x 2: the first row's cofactors
+        cross -= nxt[1, 1:] * nxt[2, :3]
+        np.sum(a[0] * cross, axis=0, out=dev[6])
+        dev[6] -= 1.0
+        dev = np.abs(dev, out=dev).max(axis=0)
+    accept = dev <= tol - _SCREEN_MARGIN
+    band = np.flatnonzero(~accept & (dev <= tol + _SCREEN_MARGIN))
+    if len(band):
+        accept[band] = _is_rotation_exact(stack[band], tol)
+    return accept.reshape(m.shape[:-2])
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,23 @@ _CHUNK_VERTICES = 1 << 13  # posed vertices per MSSD/MSPD pass: 192 KB per (n, 3
 _GROUP_VERTICES = 16  # estimated vertices per ADD-S cell, were they spread evenly over the cells
 
 
+def _sq_norms(d: np.ndarray) -> np.ndarray:
+    """Squared lengths along the last axis of `d`, which is squared in place:
+    the coordinates' squares added from left to right, the same floats as
+    np.linalg.norm's sum before its square root."""
+    d *= d
+    sq = d[..., 0] + d[..., 1]
+    for k in range(2, d.shape[-1]):
+        sq += d[..., k]
+    return sq
+
+
 def e_add(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
     """Mean vertex distance between the two posed models (mm)."""
     if len(model.vertices) == 0:
         raise EmptyModel("ADD needs at least one vertex")
     d = pose_est.transform(model.vertices) - pose_gt.transform(model.vertices)
-    return float(np.linalg.norm(d, axis=1).mean())
+    return float(np.sqrt(_sq_norms(d)).mean())
 
 
 def _nearest_sq(est: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -116,7 +127,14 @@ def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt:
     """For each of the `images` (functions of (n, 3) points), the max distance
     between the images of the two posed vertex sets, minimized over the
     model's symmetry set. One sweep of the posed symmetries serves every
-    image, _CHUNK_VERTICES posed vertices per pass."""
+    image, _CHUNK_VERTICES posed vertices per pass.
+
+    The sweep compares squared distances and takes one square root at the
+    end. A squared distance is the same float np.linalg.norm sums (see
+    _sq_norms), and sqrt is correctly rounded and monotone, so the square
+    root of the minimum of the maxima is the minimum of the maxima of the
+    square roots, bit for bit; a NaN propagates through max and min the same
+    way."""
     v, syms = model.vertices, model.symmetries
     if len(v) == 0:
         raise EmptyModel(f"{name} needs at least one vertex")
@@ -130,9 +148,9 @@ def _min_over_symmetries(name: str, model: ObjectModel, pose_est: Pose, pose_gt:
         rot, trans = r @ s[:, :, :3], (r @ s[:, :, 3:])[..., 0] + t
         gt = (v @ rot.transpose(0, 2, 1) + trans[:, None]).reshape(-1, 3)
         for k, (image, est) in enumerate(zip(images, ests)):
-            dist = np.linalg.norm(est - image(gt).reshape(len(s), len(v), -1), axis=-1)
-            best[k] = min(best[k], float(dist.max(axis=1).min()))
-    return best
+            sq = _sq_norms(est - image(gt).reshape(len(s), len(v), -1))
+            best[k] = min(best[k], float(sq.max(axis=1).min()))
+    return [float(np.sqrt(b)) for b in best]
 
 
 def _same(pts: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ conv(upsample(x)) as four 2x2 sub-pixel phases, without building the upsample.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeMismatch
@@ -240,6 +242,7 @@ class GroupNorm(Layer):
         self.eps = float(eps)
         _require(self.group_size >= 1 and self.channels % self.group_size == 0,
                  f"{name}: group size must be >= 1 and divide the channels")
+        _require(math.isfinite(self.eps) and self.eps > 0, f"{name}: eps must be finite and positive, got {self.eps}")
 
     @property
     def channels(self):

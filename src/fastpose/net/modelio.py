@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..datio import _need
+from ..datio import _finite_number, _need
 from ..errors import SchemaViolation, UnsupportedFormat
 from .graph import LayerGraph
 from .layers import LAYER_KINDS, ConcatChannels, Conv2D, GroupNorm
@@ -97,8 +97,10 @@ def _build_layer(entry: dict, weights: np.ndarray, where: str):
         return Conv2D(name, inputs, *args, stride=_need(config, "stride", where, int),
                       padding=_need(config, "padding", where, int))
     if kind == "groupnorm":
-        return GroupNorm(name, inputs, *args, group_size=_need(config, "group_size", where, int),
-                         eps=_need(config, "eps", where, (int, float)))
+        eps = _need(config, "eps", where, (int, float))
+        if not (_finite_number(eps) and eps > 0):
+            raise SchemaViolation(f"{where}.eps", f"must be a positive finite number, got {eps!r}")
+        return GroupNorm(name, inputs, *args, group_size=_need(config, "group_size", where, int), eps=eps)
     if kind == "concat":
         ranges = _need(config, "ranges", where, list)
         ranges = [r if r is None else _ints(r, f"{where}.ranges[{i}]", 2) for i, r in enumerate(ranges)]

@@ -19,7 +19,10 @@ its map's row offset. Each map holds a view of its rows, so the buffer,
 the boxes' summed heights by the widest box's width, lives as long as any
 of the maps. Every per-corner quantity is a (3, T) array, corner slot first and
 triangle last. Triangles are grouped into size classes, box height and
-width each rounded up to a power of two, whatever their map, and each class
+width each rounded up to a power of two, whatever their map; in a loop of
+fewer than _SQUARE_TRIANGLES kept triangles, where the passes' fixed cost
+outweighs their padded pixels, a box of at most _SQUARE_PX pixels takes the
+square class of its larger side instead. Each class
 is tested as one (rows, columns, triangles) grid of pixel centres masked to
 every triangle's own box, at most _CHUNK_PX padded pixels per pass so memory
 stays bounded; with the triangle axis last, numpy's inner loops run along
@@ -40,6 +43,11 @@ from .geom import CameraIntrinsics, ObjectModel, Pose
 NEAR_MM = 1.0
 _CHUNK_PX = 1 << 16  # padded box pixels per array pass, at most about 85 bytes of work arrays each
 _BATCH_TRIANGLES = 1 << 12  # triangles per z-buffer pass loop, about 400 bytes of work arrays each
+# A pass costs about as much as testing 10k padded pixels: below this many
+# kept triangles, boxes of at most _SQUARE_PX take square classes, fewer
+# passes for more padding
+_SQUARE_TRIANGLES = 1 << 10
+_SQUARE_PX = 16
 
 
 class DistanceMap:
@@ -197,8 +205,13 @@ def _raster_triangles(proj: np.ndarray, corners: np.ndarray, job: np.ndarray,
     boxes = np.stack([row0, col0, box_h, box_w, np.cumsum(box_h) - box_h])
 
     # the kept triangles in size-class order, a class being the log2 of the
-    # box width and height rounded up to powers of two
+    # box width and height rounded up to powers of two; in a small group, a
+    # box of at most _SQUARE_PX takes the square class of its larger side
     log_w, log_h = np.frexp(b1 - b0 - 1)[1]
+    if len(keep) < _SQUARE_TRIANGLES:
+        side = np.maximum(log_w, log_h)
+        square = side <= _SQUARE_PX.bit_length() - 1
+        log_w, log_h = np.where(square, side, log_w), np.where(square, side, log_h)
     key = log_h * 64 + log_w
     order = np.argsort(key)
     keep, key, job = np.take(keep, order), np.take(key, order), np.take(job, order)

@@ -12,6 +12,9 @@ coded independently. Four references instead keep the production arithmetic
 and change only the iteration, so results must match byte for byte: the
 one-triangle-at-a-time z-buffer, the interleaved squared-distance sum, the
 depth-discrepancy error over full frames and the line-at-a-time PLY body.
+One keeps the production definition itself, the rotation check by matmul
+and np.linalg.det on every matrix, against which the screened check must
+decide identically.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fastpose.geom import CameraIntrinsics, ObjectModel, Pose, project_point
+from fastpose.geom import ROTATION_TOL, CameraIntrinsics, ObjectModel, Pose, project_point
 from fastpose.net import GroupNorm
 from fastpose.raster import NEAR_MM, _clip_near, render_distance_map
 
@@ -190,6 +193,21 @@ def sq_distances_interleaved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diffs = a[:, None, :] - b[None, :, :]
     np.multiply(diffs, diffs, out=diffs)
     return diffs.sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Rotation check (reference for the screened stack check)
+
+
+def is_rotation_reference(matrix, tol: float = ROTATION_TOL) -> np.ndarray:
+    """Per 3x3 matrix of a (..., 3, 3) stack: finite, every |M^T M - I| entry
+    by matmul and |det(M) - 1| by np.linalg.det at most `tol`, each matrix
+    checked in full."""
+    m = np.asarray(matrix, dtype=np.float64)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)
+    ortho = np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)).max(axis=(-2, -1)) <= tol
+    return finite & ortho & (np.abs(np.linalg.det(m) - 1.0) <= tol)
 
 
 # ---------------------------------------------------------------------------

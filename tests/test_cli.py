@@ -485,6 +485,11 @@ class TestBenchCommand:
         (lambda d: d["layers"][1]["config"].update(stride=1.5), "$.layers[1].config.stride"),
         (lambda d: d["layers"][2]["config"].update(group_size=2.5), "$.layers[2].config.group_size"),
         (lambda d: d["layers"][2]["config"].update(eps=[1]), "$.layers[2].config.eps"),
+        (lambda d: d["layers"][2]["config"].update(eps=float("nan")), "$.layers[2].config.eps"),
+        (lambda d: d["layers"][2]["config"].update(eps=float("inf")), "$.layers[2].config.eps"),
+        (lambda d: d["layers"][2]["config"].update(eps=float("-inf")), "$.layers[2].config.eps"),
+        (lambda d: d["layers"][2]["config"].update(eps=0), "$.layers[2].config.eps"),
+        (lambda d: d["layers"][2]["config"].update(eps=-1e-5), "$.layers[2].config.eps"),
         (lambda d: d["layers"][1]["params"]["weight"].update(offset=0.5), "$.layers[1].params.weight.offset"),
         (lambda d: d["layers"][1]["params"]["weight"].update(shape=[-1, 8, 3, 3]), "$.layers[1].params.weight"),
         (lambda d: d["layers"][1]["params"]["weight"].update(shape=5), "$.layers[1].params.weight.shape"),
@@ -503,7 +508,8 @@ class TestBenchCommand:
         (lambda d: d.update(input_shape=[10, 64.0, 64]), "$.input_shape"),
         (lambda d: d.update(weights_file=5), "$.weights_file"),
     ], ids=["group-size-0", "stride-0", "padding-negative", "stride-null", "stride-bool", "stride-fraction",
-            "group-size-fraction", "eps-list", "offset-fraction", "shape-negative", "shape-number", "inputs-number",
+            "group-size-fraction", "eps-list", "eps-nan", "eps-infinity", "eps-minus-infinity", "eps-0",
+            "eps-negative", "offset-fraction", "shape-negative", "shape-number", "inputs-number",
             "inputs-string", "inputs-of-numbers", "relu-without-input", "flatten-with-two-inputs", "kind-list",
             "name-number", "ranges-number", "range-of-one", "range-of-a-float", "meta-list", "output-list",
             "input-shape-float", "weights-file-number"])

@@ -92,6 +92,100 @@ class TestPose:
         assert got.ravel().tolist() == [True] + [False] * 6 + [True] * 5
 
 
+def near_tol_rotation(gen, driver: str, offset: float) -> np.ndarray:
+    """A random rotation scaled so that its Gram ("gram") or determinant
+    ("det") deviation is ROTATION_TOL + offset, the other one smaller."""
+    r = random_rotation(gen)
+    if driver == "gram":  # column 0 times 1 + e: Gram deviation 2e + e^2, determinant deviation e
+        return r * np.array([np.sqrt(1.0 + geom.ROTATION_TOL + offset), 1.0, 1.0])
+    return r * np.cbrt(1.0 + geom.ROTATION_TOL + offset)  # determinant 3e + ..., Gram 2e + e^2
+
+
+def fuzz_matrix(gen) -> np.ndarray:
+    kind = int(gen.integers(0, 12))
+    if kind < 6:  # half land at tol -+ 1e-17 .. 1e-9, where the two computations' rounding can straddle tol
+        return near_tol_rotation(gen, "gram" if kind < 3 else "det",
+                                 float(gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(-17.0, -9.0)))
+    m = random_rotation(gen)
+    i, j = gen.integers(0, 3, 2)
+    if kind == 6:
+        return -m  # det -1
+    if kind == 7:
+        m[i, j] = np.nan
+    elif kind == 8:
+        m[i, j] = gen.choice([np.inf, -np.inf])
+    elif kind == 9:
+        m[i, j] = gen.choice([1e150, -1e150])
+    elif kind == 10:
+        return np.zeros((3, 3))
+    return m
+
+
+def axial_table(order: int) -> np.ndarray:
+    """Rotations about z by 2 pi k / order, each also after a half turn about x."""
+    out = []
+    for k in range(order):
+        c, s = math.cos(2 * math.pi * k / order), math.sin(2 * math.pi * k / order)
+        rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        out += [rz, np.diag([1.0, -1.0, -1.0]) @ rz]
+    return np.array(out)
+
+
+def counting_exact(monkeypatch) -> list:
+    """Patch is_rotation's exact check to record the shape of every stack it gets."""
+    calls, exact = [], geom._is_rotation_exact
+
+    def counted(m, tol):
+        calls.append(m.shape)
+        return exact(m, tol)
+
+    monkeypatch.setattr(geom, "_is_rotation_exact", counted)
+    return calls
+
+
+class TestRotationScreen:
+    """is_rotation screens large stacks; its decisions are the definition's."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 47, 48, 49, 100, 315, 629, 630, 700])
+    def test_decisions_equal_the_reference_on_the_fuzz(self, monkeypatch, size):
+        gen = np.random.default_rng(size)
+        calls = counting_exact(monkeypatch)
+        for _ in range(6):
+            stack = np.stack([fuzz_matrix(gen) for _ in range(size)])
+            assert is_rotation(stack).tolist() == oracles.is_rotation_reference(stack).tolist()
+        checked = sum(shape[0] for shape in calls)
+        if size >= geom._SCREEN_MIN:  # the band is reached, but not by every matrix
+            assert 0 < checked < 6 * size
+        else:
+            assert checked == 6 * size
+
+    def test_leading_shape_and_tolerance_are_kept(self):
+        gen = np.random.default_rng(103)
+        stack = np.stack([fuzz_matrix(gen) for _ in range(120)]).reshape(4, 30, 3, 3)
+        for tol in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0):
+            got = is_rotation(stack, tol)
+            assert got.shape == (4, 30)
+            assert got.tolist() == oracles.is_rotation_reference(stack, tol).tolist()
+
+    def test_ordinary_tables_never_take_the_exact_check(self, monkeypatch):
+        calls = counting_exact(monkeypatch)
+        gen = np.random.default_rng(107)
+        tables = [axial_table(315), axial_table(24)]
+        tables += [np.stack([random_rotation(gen) for _ in range(n)]) for n in (48, 200, 700)]
+        for table in tables:
+            assert is_rotation(table).all()
+        rows = np.concatenate([tables[0], np.zeros((630, 3, 1))], axis=2)
+        assert len(make_model(cube_vertices(), symmetries=rows).symmetries) == 630
+        assert calls == []
+
+    def test_a_stack_below_the_screen_size_takes_the_exact_check(self, monkeypatch):
+        calls = counting_exact(monkeypatch)
+        table = axial_table(315)
+        assert is_rotation(table[:geom._SCREEN_MIN - 1]).all()
+        assert is_rotation(table[0])
+        assert calls == [(geom._SCREEN_MIN - 1, 3, 3), (3, 3)]
+
+
 class TestProjection:
     def test_pinhole_by_hand(self):
         cam = CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=64, height=64)

@@ -263,6 +263,8 @@ class TestMetricOracleAgreement:
 
     @pytest.mark.parametrize("chunk", [1, 3 * 7, 5 * 7 + 3])
     def test_symmetry_chunks_match_one_pass_and_oracle(self, monkeypatch, chunk):
+        """MSSD, MSPD and ADD are the oracles' floats bit for bit, whatever the
+        symmetry chunking, on meshes of 1 to 60 vertices."""
         gen = np.random.default_rng(67)
         cam = small_camera()
         m = make_model(gen.uniform(-30.0, 30.0, size=(7, 3)), symmetries=random_symmetries(gen, 9))
@@ -271,7 +273,16 @@ class TestMetricOracleAgreement:
         one_pass = e_mssd(m, a, b), e_mspd(m, a, b, cam)
         monkeypatch.setattr(metrics, "_CHUNK_VERTICES", chunk)  # 10 symmetries in chunks of 1, 3 or 5
         assert (e_mssd(m, a, b), e_mspd(m, a, b, cam)) == one_pass
-        assert one_pass == (oracles.mssd_reference(m, a, b), oracles.mspd_reference(m, a, b, cam))
+        instances = [(m, a, b)] + [
+            (make_model(gen.uniform(-40.0, 40.0, size=(int(gen.integers(1, 61)), 3)),
+                        symmetries=random_symmetries(gen, int(gen.integers(0, 25)))),
+             random_pose(gen, z_range=(600.0, 900.0)), random_pose(gen, z_range=(600.0, 900.0)))
+            for _ in range(30)]
+        for m, a, b in instances:
+            for got, want in [(e_mssd(m, a, b), oracles.mssd_reference(m, a, b)),
+                              (e_mspd(m, a, b, cam), oracles.mspd_reference(m, a, b, cam)),
+                              (e_add(m, a, b), oracles.add_reference(m, a, b))]:
+                assert float(got).hex() == float(want).hex()
 
     def test_symmetry_scoring_memory_is_bounded_on_a_40k_vertex_mesh(self, monkeypatch):
         monkeypatch.setattr(geom, "_pairwise_diameter", lambda v: 0.0)  # O(n^2), and not under test

@@ -1,5 +1,9 @@
 """Z-buffer rasterizer: coverage rules, depth values, clipping, determinism."""
 
+import itertools
+import math
+import types
+
 import numpy as np
 import pytest
 
@@ -196,7 +200,8 @@ def screen_vertices(corners) -> np.ndarray:
 
 def box_class(tri: np.ndarray, cam: CameraIntrinsics) -> tuple[int, int]:
     """log2 of a camera-space triangle's clipped pixel box height and width,
-    each rounded up to a power of two: the rasterizer's size class."""
+    each rounded up to a power of two: the rasterizer's size class in a
+    group of at least _SQUARE_TRIANGLES kept triangles."""
     px = cam.fx * tri[:, 0] / tri[:, 2] + cam.cx
     py = cam.fy * tri[:, 1] / tri[:, 2] + cam.cy
     rows = min(np.floor(py.max()), cam.height - 1) - max(np.ceil(py.min()), 0.0) + 1
@@ -250,11 +255,14 @@ class TestAgainstTriangleLoop:
         assert got.visible.all()
         assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
 
-    def test_pixel_centre_ties_on_shared_edges_across_size_classes(self):
+    @pytest.mark.parametrize("square", [False, True], ids=["rectangular-classes", "square-classes"])
+    def test_pixel_centre_ties_on_shared_edges_across_size_classes(self, monkeypatch, square):
         # corners on whole pixels under a unit camera: the edge (2, 2)-(10, 6) passes
         # through the centres (4, 3), (6, 4) and (8, 5), and the top edge y = 2, the
         # bottom edge y = 13 and the edges x = 2 and x = 10 through rows and columns
         # of centres; the second triangle's size class differs from the other two
+        if not square:  # the rectangular classes of a large group
+            monkeypatch.setattr(raster, "_SQUARE_TRIANGLES", 0)
         cam = unit_camera(16, 16)
         verts = screen_vertices([(2, 2, 1.0), (10, 2, 2.0), (10, 6, 4.0), (2, 13, 3.0), (10, 13, 1.5)])
         tris = [[0, 1, 2], [0, 2, 3], [2, 4, 3]]
@@ -284,8 +292,11 @@ class TestAgainstTriangleLoop:
         assert got.visible.sum() > 50
         assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
 
-    def test_one_triangle_per_size_class_one_pixel_per_pass(self, monkeypatch):
+    @pytest.mark.parametrize("square", [False, True], ids=["rectangular-classes", "square-classes"])
+    def test_one_triangle_per_size_class_one_pixel_per_pass(self, monkeypatch, square):
         monkeypatch.setattr(raster, "_CHUNK_PX", 1)
+        if not square:
+            monkeypatch.setattr(raster, "_SQUARE_TRIANGLES", 0)
         cam = unit_camera(48, 48)
         corners, tris = [], []
         for i, (x, y, w, h) in enumerate([(1, 1, 2, 2), (5, 1, 3, 5), (10, 1, 6, 3),
@@ -311,6 +322,91 @@ class TestAgainstTriangleLoop:
             got = render_distance_map(m, IDENTITY, cam)
             assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes(), tris
         assert got.visible.all()
+
+
+def counted_passes(monkeypatch) -> list:
+    """Patch the rasterizer's pass loop to record each pass it runs."""
+    passes = []
+
+    def product(*ranges):
+        for p in itertools.product(*ranges):
+            passes.append(p)
+            yield p
+
+    monkeypatch.setattr(raster, "itertools", types.SimpleNamespace(product=product))
+    return passes
+
+
+def expected_passes(classes) -> int:
+    """Passes of untiled (log2 height, log2 width) classes, one per triangle."""
+    counts = {}
+    for c in classes:
+        counts[c] = counts.get(c, 0) + 1
+    return sum(math.ceil(n / (raster._CHUNK_PX >> (h + w))) for (h, w), n in counts.items())
+
+
+def square(cls: tuple[int, int]) -> tuple[int, int]:
+    side = max(cls)
+    return (side, side) if side <= 4 else cls
+
+
+def low_poly_cylinder(n: int, radius: float, height: float) -> ObjectModel:
+    """A closed n-sided prism of 4 n triangles, like eval-crowd's objects."""
+    a = np.arange(n) * (2 * np.pi / n)
+    ring = np.stack([radius * np.cos(a), radius * np.sin(a), np.zeros(n)], axis=1)
+    verts = np.vstack([ring + [0, 0, -height / 2], ring + [0, 0, height / 2], [[0, 0, -height / 2], [0, 0, height / 2]]])
+    i, j = np.arange(n), (np.arange(n) + 1) % n
+    tris = np.concatenate([np.stack(t, axis=1) for t in (
+        (i, j, j + n), (i, j + n, i + n), (j, i, np.full(n, 2 * n)), (i + n, j + n, np.full(n, 2 * n + 1)))])
+    return make_model(verts, tris)
+
+
+class TestSquareClasses:
+    """A group of fewer than _SQUARE_TRIANGLES kept triangles puts every box of
+    at most _SQUARE_PX pixels into the square class of its larger side."""
+
+    @staticmethod
+    def boxes_around_16_px():
+        """Triangles whose pixel boxes are 15, 16 and 17 px wide or high
+        against 3, 15, 16 and 17 px, overlapping at different depths."""
+        corners, tris = [], []
+        sizes = [(w, h) for w in (3, 15, 16, 17) for h in (3, 15, 16, 17)]
+        for k, (w, h) in enumerate(sizes):
+            x, y = 2 + 9 * (k % 4), 2 + 9 * (k // 4)
+            # corners on whole pixels: a box of w by h pixels spans w - 1 by h - 1
+            corners += [(x, y, 2.0 + k % 3), (x + w - 1, y + 0.5, 3.0), (x + 0.25, y + h - 1, 1.5 + k % 5)]
+            tris.append([3 * k, 3 * k + 1, 3 * k + 2])
+        cam = unit_camera(64, 64)
+        return make_model(screen_vertices(corners), tris), cam
+
+    @pytest.mark.parametrize("square_classes", [False, True], ids=["at-the-threshold", "one-below-it"])
+    def test_groups_either_side_of_the_threshold_match_the_loop(self, monkeypatch, square_classes):
+        m, cam = self.boxes_around_16_px()
+        n = len(m.triangles)
+        classes = [box_class(m.vertices[t], cam) for t in m.triangles]
+        assert {4, 5} <= {max(c) for c in classes}  # boxes on both sides of 16 px
+        monkeypatch.setattr(raster, "_SQUARE_TRIANGLES", n + 1 if square_classes else n)
+        passes = counted_passes(monkeypatch)
+        got = render_distance_map(m, IDENTITY, cam)
+        assert got.depth.tobytes() == oracles.raster_loop(m, IDENTITY, cam).tobytes()
+        assert len(passes) == expected_passes([square(c) for c in classes] if square_classes else classes)
+
+    def test_a_crowd_sized_group_takes_one_pass_per_square_class(self, monkeypatch):
+        gen = np.random.default_rng(83)
+        cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, width=640, height=480)
+        jobs = []
+        for k in range(8):
+            pose = random_pose(gen, z_range=(1500.0, 2500.0), xy_span=400.0)
+            jobs.append((low_poly_cylinder(6 + k % 3, 15.0, 30.0), pose, cam))
+        classes = [box_class(pose.transform(model.vertices)[t], cam) for model, pose, _ in jobs for t in model.triangles]
+        assert max(max(c) for c in classes) <= 4  # every box at most 16 px
+        passes = counted_passes(monkeypatch)
+        maps = render_distance_maps(jobs)
+        # one pass per square class instead of one per (height, width) class
+        assert len(passes) == expected_passes([square(c) for c in classes]) <= 5
+        assert expected_passes(classes) > 2 * len(passes)
+        for (model, pose, _), got in zip(jobs, maps):
+            assert got.depth.tobytes() == oracles.raster_loop(model, pose, cam).tobytes()
 
 
 def assert_batch_equals_singles(jobs):

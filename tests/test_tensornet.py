@@ -209,7 +209,13 @@ class TestGraphStructure:
         lambda: Conv2D("c", ["@input"], np.zeros((2, 1, 3, 3)), np.zeros(2), padding=-1),
         lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=0),
         lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=-2),
-    ], ids=["conv-stride-0", "conv-padding-negative", "norm-group-size-0", "norm-group-size-negative"])
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=2, eps=float("nan")),
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=2, eps=float("inf")),
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=2, eps=float("-inf")),
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=2, eps=0.0),
+        lambda: GroupNorm("g", ["@input"], np.ones(4), np.zeros(4), group_size=2, eps=-1e-5),
+    ], ids=["conv-stride-0", "conv-padding-negative", "norm-group-size-0", "norm-group-size-negative",
+            "norm-eps-nan", "norm-eps-infinity", "norm-eps-minus-infinity", "norm-eps-0", "norm-eps-negative"])
     def test_layer_constructor_rejects_a_degenerate_stride_padding_or_group(self, make):
         with pytest.raises(ShapeMismatch):
             make()
