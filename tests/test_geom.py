@@ -92,11 +92,11 @@ class TestPose:
         assert got.ravel().tolist() == [True] + [False] * 6 + [True] * 5
 
 
-def near_tol_rotation(gen, driver: str, offset: float) -> np.ndarray:
+def near_tol_rotation(gen, deviation: str, offset: float) -> np.ndarray:
     """A random rotation scaled so that its Gram ("gram") or determinant
     ("det") deviation is ROTATION_TOL + offset, the other one smaller."""
     r = random_rotation(gen)
-    if driver == "gram":  # column 0 times 1 + e: Gram deviation 2e + e^2, determinant deviation e
+    if deviation == "gram":  # column 0 times 1 + e: Gram deviation 2e + e^2, determinant deviation e
         return r * np.array([np.sqrt(1.0 + geom.ROTATION_TOL + offset), 1.0, 1.0])
     return r * np.cbrt(1.0 + geom.ROTATION_TOL + offset)  # determinant 3e + ..., Gram 2e + e^2
 
