@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: eval, build, prune, finetune, distill, bench, report.
+Subcommands: eval, build, prune, distill, bench, report. A pruned model is
+fine-tuned by distilling it from its unpruned reference.
 Exit codes: 0 success, 1 data or file errors, 2 usage errors. All outputs
 are deterministic for fixed inputs and seeds except bench timings, which
 measure the wall clock on the current machine.
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .bench import format_latency_csv, format_report_csv, measure_latency, read_runs_csv
 from .datio import load_object_models, parse_gt_json, parse_result_csv
-from .distill import Adapter, DistillConfig, distill_train, fine_tune, format_trace_csv, make_input_sampler
+from .distill import Adapter, DistillConfig, distill_train, format_trace_csv, make_input_sampler
 from .errors import FastposeError
 from .metrics import evaluate, instance_key, match_estimates, report_to_csv, report_to_dict
 from .net import ToyConfig, build_toy_backbone, build_toy_gdrn, build_toy_head, build_toy_pnp, count_flops, count_params, load_model, save_model
@@ -130,31 +131,6 @@ def _cmd_prune(args) -> int:
     return 0
 
 
-def _train(args, student, train, **summary) -> int:
-    """Train `student` in place on the seeded inputs, then save it, write the
-    trace and print the summary; `train(inputs)` returns (student, trace)."""
-    inputs = make_input_sampler(student.input_shape, args.samples, args.seed)
-    _, trace = train(inputs)
-    save_model(student, args.out)
-    if args.trace:
-        _emit(format_trace_csv(trace), args.trace)
-    sys.stdout.write(_json_text({
-        "model": str(args.out),
-        "epochs": len(trace),
-        "first_loss": trace[0] if trace else None,
-        "final_loss": trace[-1] if trace else None,
-        **summary,
-    }))
-    return 0
-
-
-def _cmd_finetune(args) -> int:
-    student = load_model(args.model)
-    reference = load_model(args.reference)
-    config = DistillConfig(learning_rate=args.lr, epochs=args.epochs)
-    return _train(args, student, lambda inputs: fine_tune(student, reference, config, inputs))
-
-
 def _cmd_distill(args) -> int:
     teacher = load_model(args.teacher)
     student = load_model(args.student)
@@ -165,8 +141,19 @@ def _cmd_distill(args) -> int:
         if len(s_shape) != 3 or len(t_shape) != 3:
             raise UsageError("--adapter needs models whose outputs are feature maps")
         adapter = Adapter.create(s_shape[0], t_shape[0], seed=args.seed)
-    return _train(args, student, lambda inputs: distill_train(teacher, student, adapter, config, inputs),
-                  loss_kind="feature-align" if adapter else "mse")
+    inputs = make_input_sampler(student.input_shape, args.samples, args.seed)
+    _, trace = distill_train(teacher, student, adapter, config, inputs)
+    save_model(student, args.out)
+    if args.trace:
+        _emit(format_trace_csv(trace), args.trace)
+    sys.stdout.write(_json_text({
+        "model": str(args.out),
+        "epochs": len(trace),
+        "first_loss": trace[0] if trace else None,
+        "final_loss": trace[-1] if trace else None,
+        "loss_kind": "feature-align" if adapter else "mse",
+    }))
+    return 0
 
 
 def _cmd_bench(args) -> int:
@@ -189,16 +176,6 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     _emit(format_report_csv(read_runs_csv(args.runs)), args.out)
     return 0
-
-
-def _training_args(p: argparse.ArgumentParser, func) -> None:
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", help="write per-epoch mean loss CSV here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,16 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("finetune", help="regress a pruned model onto its reference")
-    p.add_argument("--model", required=True, help="pruned model to tune (input)")
-    p.add_argument("--reference", required=True, help="unpruned reference model")
-    _training_args(p, _cmd_finetune)
-
     p = sub.add_parser("distill", help="train a student model against a teacher")
     p.add_argument("--teacher", required=True)
-    p.add_argument("--student", required=True)
+    p.add_argument("--student", required=True, help="model to train, such as a pruned copy of the teacher")
     p.add_argument("--adapter", action="store_true", help="feature alignment through a 1x1-conv adapter")
-    _training_args(p, _cmd_distill)
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--samples", type=_positive_int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trace", help="write per-epoch mean loss CSV here")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("bench", help="time forward passes of a saved model")
     p.add_argument("--model", required=True)

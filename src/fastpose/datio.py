@@ -103,7 +103,11 @@ def parse_result_csv(path) -> list[EstimateRecord]:
             raise MalformedLine(line_no, f"time must be >= 0 or -1 (unknown), got {time}")
         r = _floats(fields[4], 9, line_no, "R").reshape(3, 3)
         t = _floats(fields[5], 3, line_no, "t")
-        records.append(EstimateRecord(scene_id, im_id, obj_id, score, Pose(r, t), time))
+        try:
+            pose = Pose(r, t)
+        except InvalidRotation as exc:
+            raise InvalidRotation(f"line {line_no}: R: {exc}") from exc
+        records.append(EstimateRecord(scene_id, im_id, obj_id, score, pose, time))
     return records
 
 
@@ -343,7 +347,10 @@ def _pose_from_lists(r_list, t_list, where) -> Pose:
     for key, values in (("cam_R_m2c", r_list), ("cam_t_m2c", t_list)):
         if not all(map(_finite_number, values)):
             raise SchemaViolation(f"{where}.{key}", "must be finite numbers")
-    return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), np.array(t_list, dtype=np.float64))
+    try:
+        return Pose(np.array(r_list, dtype=np.float64).reshape(3, 3), np.array(t_list, dtype=np.float64))
+    except InvalidRotation as exc:
+        raise InvalidRotation(f"{where}.cam_R_m2c: {exc}") from exc
 
 
 def _symmetry_rows(rows: list, where: str) -> np.ndarray:

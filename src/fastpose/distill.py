@@ -9,8 +9,9 @@ Two routes move knowledge from a teacher graph into a student:
   teacher's channel count, both maps are scaled to unit L2 norm along
   channels per pixel, and the mean squared difference is minimized.
 
-fine_tune is the output route with the unpruned reference model as teacher,
-which is how pruned models recover accuracy.
+Fine-tuning a pruned model is the output route with the unpruned reference
+model as teacher, which is how pruned models recover accuracy: `fastpose
+distill --teacher REFERENCE --student PRUNED`, or fine_tune in code.
 format_trace_csv turns a loop's per-epoch loss trace into CSV text.
 """
 
@@ -134,10 +135,18 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
     With an adapter the loss is feature alignment between the graph outputs
     treated as feature maps; without one it is mse_loss on the outputs.
     The student (and adapter) are updated in place, one step per sample, and
-    each step runs the student forward once. An empty input list is EmptyInput.
+    each step runs the student forward once. An empty input list is EmptyInput;
+    models that differ in input shape, or without an adapter in output shape,
+    are ShapeMismatch before either model runs.
     """
     if len(inputs) == 0:
         raise EmptyInput("distillation needs at least one input sample")
+    shapes = [("input", teacher.input_shape, student.input_shape)]
+    if adapter is None:
+        shapes.append(("output", teacher.output_shape, student.output_shape))
+    for kind, t_shape, s_shape in shapes:
+        if t_shape != s_shape:
+            raise ShapeMismatch(f"teacher and student differ in {kind} shape: teacher {t_shape}, student {s_shape}")
     trace = []
     targets = [teacher.forward(x) for x in inputs]
     for _ in range(config.epochs):

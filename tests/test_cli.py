@@ -17,7 +17,7 @@ from fastpose.prune import PrunePlan
 
 CUBE_EDGE = 40.0
 
-SUBCOMMANDS = ["eval", "build", "prune", "finetune", "distill", "bench", "report"]
+SUBCOMMANDS = ["eval", "build", "prune", "distill", "bench", "report"]
 
 
 def cube_ply_text() -> str:
@@ -145,27 +145,43 @@ class TestArgumentHandling:
         assert "eval" in proc.stdout
 
 
-def readme_commands() -> list[list[str]]:
-    """The arguments of every `fastpose ...` command in README.md's sh
-    blocks, with backslash continuations joined and heredoc bodies skipped."""
-    commands, in_sh, heredoc, pending = [], False, None, ""
+def readme_sh_blocks() -> list[list[tuple]]:
+    """README.md's sh blocks, each as its steps in order: ("write", path,
+    text) for a `cat > path <<EOF` heredoc and ("run", argv) for a
+    `fastpose ...` command, with backslash continuations joined."""
+    blocks, block, heredoc, pending = [], None, None, ""
     for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
         if heredoc is not None:
-            heredoc = None if line.strip() == heredoc else heredoc
+            tag, path, body = heredoc
+            if line.strip() != tag:
+                body.append(line + "\n")
+                continue
+            if path:
+                block.append(("write", path, "".join(body)))
+            heredoc = None
         elif line.startswith("```"):
-            in_sh = line.strip() == "```sh"
-        elif in_sh:
+            block = [] if line.strip() == "```sh" else None
+            if block is not None:
+                blocks.append(block)
+        elif block is not None:
             pending += line
             if pending.endswith("\\"):
                 pending = pending[:-1]
                 continue
             m = re.search(r"<<-?\s*['\"]?(\w+)", pending)
-            heredoc = m.group(1) if m else None
+            if m:
+                target = re.search(r">\s*(\S+)", pending[:m.start()])
+                heredoc = (m.group(1), target.group(1) if target else None, [])
             words = shlex.split(pending, comments=True)
             pending = ""
             if words[:1] == ["fastpose"]:
-                commands.append(words[1:])
-    return commands
+                block.append(("run", words[1:]))
+    return blocks
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `fastpose ...` command in README.md's sh blocks."""
+    return [step[1] for block in readme_sh_blocks() for step in block if step[0] == "run"]
 
 
 class TestReadmeCommands:
@@ -177,6 +193,20 @@ class TestReadmeCommands:
                 build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: fastpose {shlex.join(argv)}\n{capsys.readouterr().err}")
+
+    def test_round_trip_and_report_blocks_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        blocks = [block for block in readme_sh_blocks()
+                  if any(step[0] == "run" and step[1][0] in ("build", "report") for step in block)]
+        assert [[step[1][0] for step in block if step[0] == "run"] for block in blocks] == [
+            ["build", "build", "prune", "distill", "distill", "bench"], ["report"]]
+        for block in blocks:
+            for step in block:
+                if step[0] == "write":
+                    Path(step[1]).write_text(step[2], encoding="utf-8")
+                    continue
+                assert main(step[1]) == 0, f"fastpose {shlex.join(step[1])}"
+                assert capsys.readouterr().err == ""
 
 
 class TestEval:
@@ -348,41 +378,6 @@ class TestPruneCommand:
         assert not out.exists()
 
 
-class TestFinetuneCommand:
-    def test_finetune_writes_model_and_trace(self, tmp_path, capsys):
-        reference = build_model(tmp_path, "ref.json")
-        pruned = tmp_path / "pruned.json"
-        main(["prune", "--model", str(reference),
-              "--degree-head", "1", "--out", str(pruned)])
-        capsys.readouterr()
-        out = tmp_path / "tuned.json"
-        trace = tmp_path / "trace.csv"
-        code = main([
-            "finetune", "--model", str(pruned), "--reference", str(reference),
-            "--epochs", "2", "--samples", "2", "--lr", "1e-4",
-            "--trace", str(trace), "--out", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["epochs"] == 2
-        assert payload["final_loss"] is not None
-        lines = trace.read_text().splitlines()
-        assert lines[0] == "epoch,mean_loss"
-        assert len(lines) == 3
-        load_model(out)
-
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_samples_below_one_is_a_usage_error(self, samples, tmp_path, capsys):
-        reference = build_model(tmp_path, "ref.json")
-        out = tmp_path / "tuned.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["finetune", "--model", str(reference), "--reference", str(reference),
-                  "--epochs", "1", "--samples", samples, "--out", str(out)])
-        assert exc.value.code == 2
-        assert "--samples" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestDistillCommand:
     def test_output_distillation(self, tmp_path, capsys):
         teacher = build_model(tmp_path, "t.json", seed=1)
@@ -397,6 +392,28 @@ class TestDistillCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["loss_kind"] == "mse"
         assert payload["epochs"] == 1
+        load_model(out)
+
+    def test_pruned_student_onto_its_reference_writes_model_and_trace(self, tmp_path, capsys):
+        reference = build_model(tmp_path, "ref.json")
+        pruned = tmp_path / "pruned.json"
+        main(["prune", "--model", str(reference),
+              "--degree-head", "1", "--out", str(pruned)])
+        capsys.readouterr()
+        out = tmp_path / "tuned.json"
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "distill", "--teacher", str(reference), "--student", str(pruned),
+            "--epochs", "2", "--samples", "2", "--lr", "1e-4",
+            "--trace", str(trace), "--out", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["epochs"] == 2
+        assert payload["final_loss"] is not None
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "epoch,mean_loss"
+        assert len(lines) == 3
         load_model(out)
 
     def test_adapter_route_on_feature_maps(self, tmp_path, capsys):
@@ -434,6 +451,29 @@ class TestDistillCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_models_of_different_input_shapes_are_a_data_error_naming_both(self, tmp_path, capsys):
+        teacher = build_model(tmp_path, "t.json", module="head", seed=1)
+        student = build_model(tmp_path, "s.json", seed=2)
+        capsys.readouterr()
+        out = tmp_path / "d.json"
+        assert main(["distill", "--teacher", str(teacher), "--student", str(student),
+                     "--epochs", "1", "--samples", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "teacher and student differ in input shape" in err
+        assert f"teacher {load_model(teacher).input_shape}, student {load_model(student).input_shape}" in err
+        assert not out.exists()
+
+    def test_finetune_command_is_gone(self, tmp_path, capsys):
+        reference = build_model(tmp_path, "ref.json")
+        capsys.readouterr()
+        out, trace = tmp_path / "tuned.json", tmp_path / "trace.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["finetune", "--model", str(reference), "--reference", str(reference),
+                  "--epochs", "1", "--samples", "1", "--trace", str(trace), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'finetune'" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_is_a_usage_error(self, samples, tmp_path, capsys):
@@ -591,14 +631,11 @@ class TestNestedOutputPaths:
                                           "--out", str(tmp_path / "p.json")], "--plan", "plan.json")
         assert PrunePlan.from_dict(json.loads(text)).removed
 
-    @pytest.mark.parametrize("command", ["finetune", "distill"])
-    def test_training_trace(self, command, tmp_path, capsys):
+    def test_training_trace(self, tmp_path, capsys):
         a = build_model(tmp_path, "a.json", module="pnp", seed=1)
         b = build_model(tmp_path, "b.json", module="pnp", seed=2)
-        models = ["--model", str(b), "--reference", str(a)] if command == "finetune" else \
-            ["--teacher", str(a), "--student", str(b)]
-        text = self.write_both(tmp_path, [command, *models, "--epochs", "2", "--samples", "2",
-                                          "--out", str(tmp_path / "o.json")], "--trace", "trace.csv")
+        text = self.write_both(tmp_path, ["distill", "--teacher", str(a), "--student", str(b), "--epochs", "2",
+                                          "--samples", "2", "--out", str(tmp_path / "o.json")], "--trace", "trace.csv")
         assert text.splitlines()[0] == "epoch,mean_loss" and len(text.splitlines()) == 3
 
     def test_bench_out(self, tmp_path, capsys):

@@ -70,6 +70,12 @@ class TestResultCsvParsing:
         with pytest.raises(InvalidRotation):
             parse_result_csv(result_file(tmp_path, HEADER, line))
 
+    def test_non_rotation_names_its_line(self, tmp_path):
+        line = "1,1,2,1,1 0 0 0 1 0 0 0 2,0 0 300,-1"
+        with pytest.raises(InvalidRotation) as exc:
+            parse_result_csv(result_file(tmp_path, HEADER, IDENTITY_LINE, "", line))
+        assert str(exc.value) == "line 4: R: rotation is not orthonormal with det +1 within 1e-6"
+
     def test_wrong_translation_count_rejected(self, tmp_path):
         line = "1,2,3,0.9,1 0 0 0 1 0 0 0 1,10 20,0.05"
         with pytest.raises(MalformedLine):
@@ -873,6 +879,13 @@ class TestGroundTruthJson:
         doc["instances"][0]["cam_R_m2c"] = [0] * 9
         with pytest.raises(InvalidRotation):
             parse_gt_json(gt_file(tmp_path, doc))
+
+    def test_bad_rotation_in_instance_names_its_path(self, tmp_path):
+        doc = minimal_gt_doc()
+        doc["instances"].append(dict(doc["instances"][0], im_id=5, cam_R_m2c=[1, 0, 0, 0, 1, 0, 0, 0, 2]))
+        with pytest.raises(InvalidRotation) as exc:
+            parse_gt_json(gt_file(tmp_path, doc))
+        assert str(exc.value) == "$.instances[1].cam_R_m2c: rotation is not orthonormal with det +1 within 1e-6"
 
 
 class TestApplyObjectMeta:

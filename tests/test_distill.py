@@ -24,7 +24,7 @@ from fastpose.errors import (
     ShapeMismatch,
     TooAggressive,
 )
-from fastpose.net import LayerGraph, ToyConfig, build_toy_backbone, build_toy_gdrn, zero_gradients
+from fastpose.net import LayerGraph, ToyConfig, build_toy_backbone, build_toy_gdrn, build_toy_head, zero_gradients
 from fastpose.net.layers import GRAPH_INPUT, Conv2D, Dense, Flatten
 from fastpose.prune import PruneConfig, apply_prune, plan_prune
 
@@ -317,6 +317,26 @@ class TestDistillTrain:
         _, trace = distill_train(teacher, student, None, DistillConfig(learning_rate=1e-6), inputs)
         assert trace[0] == pytest.approx(25.0, rel=1e-5)
         assert (student.layer("pnp.out").bias < shifted).all()
+
+    @pytest.mark.parametrize("with_adapter", [False, True])
+    def test_input_shape_mismatch_raises_before_any_forward(self, with_adapter, layer_forward_calls):
+        cfg = ToyConfig(8, 16, 8, 4, seed=1)
+        teacher, student = build_toy_head(cfg), build_toy_gdrn(cfg)
+        adapter = Adapter.create(9, 9) if with_adapter else None
+        inputs = make_input_sampler(student.input_shape, 2, seed=2)
+        with pytest.raises(ShapeMismatch) as exc:
+            distill_train(teacher, student, adapter, DistillConfig(), inputs)
+        assert str(exc.value) == ("teacher and student differ in input shape: "
+                                  f"teacher {teacher.input_shape}, student {student.input_shape}")
+        assert sum(layer_forward_calls.values()) == 0
+
+    def test_output_shape_mismatch_without_adapter_raises_before_any_forward(self, layer_forward_calls):
+        teacher, student = tiny_teacher_student(6, student_channels=2, teacher_channels=4)
+        inputs = make_input_sampler((1, 4, 4), 2, seed=7)
+        with pytest.raises(ShapeMismatch) as exc:
+            distill_train(teacher, student, None, DistillConfig(), inputs)
+        assert str(exc.value) == "teacher and student differ in output shape: teacher (4, 4, 4), student (2, 4, 4)"
+        assert sum(layer_forward_calls.values()) == 0
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_empty_input_list_raises(self, epochs):

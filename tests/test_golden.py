@@ -10,7 +10,8 @@ report.json (`--format json --out`). The eval-crowd scenes holding a
 behind-camera estimate (8, 16, 24) exit 1 before writing anything and are
 left out.
 
-The round trip (build twice, prune, finetune, distill) runs in-process in a
+The round trip (build twice, prune, fine-tune the pruned model by distilling
+it from its reference, distill a second student) runs in-process in a
 temporary working directory, so the model paths its commands print are
 relative and its bytes do not depend on where the test runs.
 
@@ -106,7 +107,7 @@ ROUND_TRIP = (
     ("build-student", ["build", "--config", "cfg.json", "--module", "full", "--seed", "9", "--out", "student.json"]),
     ("prune", ["prune", "--model", "teacher.json", "--degree-head", "1",
                "--plan", "plan.json", "--out", "pruned.json"]),
-    ("finetune", ["finetune", "--model", "pruned.json", "--reference", "teacher.json", "--epochs", "2",
+    ("finetune", ["distill", "--teacher", "teacher.json", "--student", "pruned.json", "--epochs", "2",
                   "--lr", "0.01", "--samples", "3", "--trace", "finetune.csv", "--out", "tuned.json"]),
     ("distill", ["distill", "--teacher", "teacher.json", "--student", "student.json", "--epochs", "2",
                  "--samples", "3", "--trace", "distill.csv", "--out", "distilled.json"]),
@@ -119,7 +120,7 @@ ROUND_TRIP_BYTES = {
     "distilled.json": "6410b5442a80bc883affb4afb36ce9e23ad693e31fb53dcbebfe47ab8419783e",
     "distilled.weights": "5c210298bec287ad7baa7aa7e49d80d4f03a3e443f4a659c753f7c800447b77e",
     "finetune.csv": "56504001c6358890e25aae58fe30702c26dcaca83852bdb5104edc30645c52c4",
-    "finetune.stdout": "6e5fd3a7d329cb3b4c304b5d60ce3f479269d55687c29379ecc00cd42c5c2bb5",
+    "finetune.stdout": "c36210d53819ba751d2e1413d5be4b23b3bf79566c4bd01dcf68ffce9e4691f8",
     "plan.json": "609a0dd79dbebeeadd38bcbd8d81b4bd9c63cbb590c4bd4e8be77d236cc23af1",
     "prune.stdout": "c4029a53157277ffd07002587052b95e4680054e5f970343f96c43c2c7e80a5d",
     "pruned.json": "545a85f596ce7d5e654b4bb32b82c5b38657cfdb13d16c141f19be23b0088e64",
