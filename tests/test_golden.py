@@ -1,6 +1,6 @@
 """Golden bytes, pinned by sha256: `fastpose eval` reports and depth-map dumps
 on the benchmark's seed-701 datasets, and every file and stdout of the
-README's compression round trip.
+README's compression round trip and of a `distill --adapter` run.
 
 The inputs come from perfbench/generate.py, which depends on numpy alone and
 never on fastpose, so a change to the program cannot move them. A digest is
@@ -13,7 +13,9 @@ left out.
 The round trip (build twice, prune, fine-tune the pruned model by distilling
 it from its reference, distill a second student) runs in-process in a
 temporary working directory, so the model paths its commands print are
-relative and its bytes do not depend on where the test runs.
+relative and its bytes do not depend on where the test runs. The adapter
+route runs the same way: a width-8 backbone student is aligned to a width-16
+backbone teacher through a 1x1 conv lifting its 8 channels to 16.
 
 The network bytes pin one forward(record=True) and backward pass of the
 default-width toy network, its d_head=2, d_pnp=3 pruned variant and a head
@@ -134,20 +136,56 @@ ROUND_TRIP_BYTES = {
 }
 
 
-def test_compression_round_trip_bytes(tmp_path, monkeypatch, capsys):
+def run_steps(tmp_path, monkeypatch, capsys, configs: dict, steps) -> dict:
+    """Write the config files, run the steps in tmp_path and return the sha256
+    of each step's stdout and of every file the steps left behind."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(
-        json.dumps({"backbone_width": 8, "head_width": 16, "pnp_width": 8, "regions": 4}), encoding="utf-8")
+    for name, fields in configs.items():
+        (tmp_path / name).write_text(json.dumps(fields), encoding="utf-8")
     digests = {}
-    for step, argv in ROUND_TRIP:
+    for step, argv in steps:
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         digests[f"{step}.stdout"] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
     for path in sorted(tmp_path.iterdir()):
-        if path.name != "cfg.json":
+        if path.name not in configs:
             digests[path.name] = digest([path])
-    assert digests == ROUND_TRIP_BYTES
+    return digests
+
+
+def test_compression_round_trip_bytes(tmp_path, monkeypatch, capsys):
+    cfg = {"backbone_width": 8, "head_width": 16, "pnp_width": 8, "regions": 4}
+    assert run_steps(tmp_path, monkeypatch, capsys, {"cfg.json": cfg}, ROUND_TRIP) == ROUND_TRIP_BYTES
+
+
+# the adapter route: a width-8 backbone student aligned to a width-16 backbone teacher
+ADAPTER_ROUTE = (
+    ("build-teacher", ["build", "--config", "wide.json", "--module", "backbone", "--seed", "3",
+                       "--out", "teacher.json"]),
+    ("build-student", ["build", "--config", "narrow.json", "--module", "backbone", "--seed", "9",
+                       "--out", "student.json"]),
+    ("distill", ["distill", "--teacher", "teacher.json", "--student", "student.json", "--adapter",
+                 "--epochs", "2", "--lr", "0.1", "--samples", "3", "--seed", "5",
+                 "--trace", "adapter.csv", "--out", "aligned.json"]),
+)
+ADAPTER_ROUTE_BYTES = {
+    "adapter.csv": "0108086f1b2b3021dd6b53c4a7e629ea9116036383d877e10978d748a8aa499f",
+    "aligned.json": "b04795a755ceaf5844779152cf68fa8ee1a012562fceb6679c807a8dcff9ccaf",
+    "aligned.weights": "dc5eb11303fe6132669a66f658b621c44a3657ca17bde4875ef63fc2105bc97a",
+    "build-student.stdout": "64b8704313925856b14307026a75a596ea06eaaf1ba3bf3184bee674f5656e3f",
+    "build-teacher.stdout": "23e9f5447f73779d90943243e0f275dccbed12c10de1216e468eae7c6c3be63b",
+    "distill.stdout": "dc71df824d84b5545fea4d4d8d31f28bd3e1b314744652134221269851c4fe82",
+    "student.json": "3f16c1b7129799489f4e6fa76a7b46ced0f0d5e1a11381f7e2a77dda978215bb",
+    "student.weights": "9c8a5f7be9cf3dbffd5c0336fa6928eeec13d2543e9df49dab913c1a162b5c3c",
+    "teacher.json": "044c2f173f24449a124e2ef00daf40449640398343b0fbfbb88843fd1bb4d67f",
+    "teacher.weights": "1ea0a4c7c834f459e39d966297beb038ad9b61e6b3387549ddeecec04bf92a42",
+}
+
+
+def test_adapter_route_bytes(tmp_path, monkeypatch, capsys):
+    configs = {"wide.json": {"backbone_width": 16}, "narrow.json": {"backbone_width": 8}}
+    assert run_steps(tmp_path, monkeypatch, capsys, configs, ADAPTER_ROUTE) == ADAPTER_ROUTE_BYTES
 
 
 NETWORK_BYTES = "1a2b4d758eb2215962deae10b01ed8a98a54940165f616653c5dd3c0691c3bbe"
