@@ -13,12 +13,13 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 from .bench import format_latency_csv, format_report_csv, measure_latency, read_runs_csv
 from .datio import load_object_models, parse_gt_json, parse_result_csv
-from .distill import Adapter, DistillConfig, distill_train, format_trace_csv, make_input_sampler
+from .distill import DistillConfig, distill_train, feature_align_loss, format_trace_csv, make_input_sampler, mse_loss, with_adapter
 from .errors import FastposeError
 from .metrics import evaluate, instance_key, match_estimates, report_to_csv, report_to_dict
 from .net import ToyConfig, build_toy_backbone, build_toy_gdrn, build_toy_head, build_toy_pnp, count_flops, count_params, load_model, save_model
@@ -50,10 +51,20 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+# argparse types: a bad value exits 2 naming its flag, before any file is read
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _learning_rate(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value of the flag
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _cmd_eval(args) -> int:
@@ -135,14 +146,14 @@ def _cmd_distill(args) -> int:
     teacher = load_model(args.teacher)
     student = load_model(args.student)
     config = DistillConfig(learning_rate=args.lr, epochs=args.epochs)
-    adapter = None
+    trained, loss = student, mse_loss
     if args.adapter:
         s_shape, t_shape = student.output_shape, teacher.output_shape
         if len(s_shape) != 3 or len(t_shape) != 3:
             raise UsageError("--adapter needs models whose outputs are feature maps")
-        adapter = Adapter.create(s_shape[0], t_shape[0], seed=args.seed)
+        trained, loss = with_adapter(student, t_shape[0], seed=args.seed), feature_align_loss
     inputs = make_input_sampler(student.input_shape, args.samples, args.seed)
-    _, trace = distill_train(teacher, student, adapter, config, inputs)
+    _, trace = distill_train(teacher, trained, loss, config, inputs)
     save_model(student, args.out)
     if args.trace:
         _emit(format_trace_csv(trace), args.trace)
@@ -151,7 +162,7 @@ def _cmd_distill(args) -> int:
         "epochs": len(trace),
         "first_loss": trace[0] if trace else None,
         "final_loss": trace[-1] if trace else None,
-        "loss_kind": "feature-align" if adapter else "mse",
+        "loss_kind": "feature-align" if args.adapter else "mse",
     }))
     return 0
 
@@ -194,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a toy model and save it")
     p.add_argument("--config", help="JSON file of config fields")
     p.add_argument("--module", choices=sorted(_BUILDERS), default="full")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("prune", help="remove low-L1 filter groups from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--degree-head", type=int, default=0, help="groups of 8 to drop per head conv")
-    p.add_argument("--degree-pnp", type=int, default=0, help="groups of 4 to drop per regressor conv")
+    p.add_argument("--degree-head", type=_int_at_least(0), default=0, help="groups of 8 to drop per head conv")
+    p.add_argument("--degree-pnp", type=_int_at_least(0), default=0, help="groups of 4 to drop per regressor conv")
     p.add_argument("--plan", help="also write the prune plan JSON here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
@@ -210,20 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--student", required=True, help="model to train, such as a pruned copy of the teacher")
     p.add_argument("--adapter", action="store_true", help="feature alignment through a 1x1-conv adapter")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_int_at_least(0), default=10)
+    p.add_argument("--lr", type=_learning_rate, default=1e-3)
+    p.add_argument("--samples", type=_int_at_least(1), default=64)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--trace", help="write per-epoch mean loss CSV here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("bench", help="time forward passes of a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--warmup", type=int, default=10)
+    p.add_argument("--iterations", type=_int_at_least(1), default=200)
+    p.add_argument("--warmup", type=_int_at_least(0), default=10)
     p.add_argument("--label", default="model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="write a latency CSV here")
     p.set_defaults(func=_cmd_bench)
 

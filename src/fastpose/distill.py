@@ -1,13 +1,16 @@
-"""Teacher-student training: output regression, feature alignment, SGD.
+"""Teacher-student training: one SGD loop with a loss callback.
 
-Two routes move knowledge from a teacher graph into a student:
+distill_train steps a student graph on a fixed input list against the
+teacher's outputs; its loss callback returns (value, gradient w.r.t. the
+student output). Two callbacks ship:
 
-* output regression: the mean squared difference between the graph
-  outputs. The toy network's output is a pose, not class logits, so it is
-  regressed; a softmax over it would not see a constant shift;
-* feature alignment: a 1x1-conv adapter lifts student feature maps to the
-  teacher's channel count, both maps are scaled to unit L2 norm along
-  channels per pixel, and the mean squared difference is minimized.
+* mse_loss, output regression. The toy network's output is a pose, not
+  class logits, so it is regressed; a softmax over it would not see a
+  constant shift;
+* feature_align_loss: both feature maps are scaled to unit L2 norm along
+  channels per pixel, then mse_loss. A narrower student map is lifted to
+  the teacher's channel count by the 1x1 conv that with_adapter appends to
+  the student, so one step trains both.
 
 Fine-tuning a pruned model is the output route with the unpruned reference
 model as teacher, which is how pruned models recover accuracy: `fastpose
@@ -25,7 +28,6 @@ import numpy as np
 from . import rng
 from .errors import EmptyInput, InvalidConfig, LengthMismatch, ShapeMismatch
 from .net.graph import LayerGraph, gradients_congruent
-from .net.layers import GRAPH_INPUT, Conv2D
 from .net.toy import _conv
 
 
@@ -59,26 +61,17 @@ def mse_loss(student_out: np.ndarray, teacher_out: np.ndarray) -> tuple[float, n
     return loss, grad.astype(s.dtype)
 
 
-class Adapter:
-    """1x1 conv lifting student feature maps to the teacher's channel count."""
-
-    def __init__(self, conv: Conv2D):
-        if conv.kernel != 1 or conv.stride != 1 or conv.padding != 0:
-            raise InvalidConfig("adapter must wrap a 1x1 stride-1 conv")
-        if conv.in_channels > conv.out_channels:
-            raise InvalidConfig("adapter cannot reduce the channel count")
-        self.conv = conv
-
-    @classmethod
-    def create(cls, in_channels: int, out_channels: int, seed: int = 0) -> "Adapter":
-        return cls(_conv("adapter", GRAPH_INPUT, in_channels, out_channels, 1, 1, 0, seed))
-
-    def forward(self, feat: np.ndarray):
-        return self.conv.forward([feat])
-
-    def backward(self, gy: np.ndarray, cache):
-        gxs, gparams = self.conv.backward(gy, cache)
-        return gxs[0], gparams
+def with_adapter(student: LayerGraph, channels: int, seed: int = 0) -> LayerGraph:
+    """The student's own layer objects followed by a 1x1 conv named "adapter",
+    drawn from `seed`, lifting the output map to `channels` channels; training
+    the graph trains the student in place."""
+    if len(student.output_shape) != 3:
+        raise ShapeMismatch(f"the adapter needs a feature-map output, got shape {student.output_shape}")
+    in_channels = student.output_shape[0]
+    if in_channels > channels:
+        raise InvalidConfig(f"adapter cannot reduce the channel count: student {in_channels}, teacher {channels}")
+    adapter = _conv("adapter", student.output, in_channels, channels, 1, 1, 0, seed)
+    return LayerGraph(student.input_shape, [*student.layers, adapter], output=adapter.name)
 
 
 def _normalize_l2(feat: np.ndarray):
@@ -93,20 +86,15 @@ def _normalize_l2_grad(g, y, safe):
     return ((g - y * dot) / safe).astype(g.dtype)
 
 
-def align_and_loss(student_feat: np.ndarray, teacher_feat: np.ndarray, adapter: Adapter):
-    """Adapter + per-pixel L2 normalization + MSE against the teacher map.
-
-    Returns (loss, gradient w.r.t. the raw student features, adapter
-    parameter gradients). The teacher map is a constant target.
-    """
-    lifted, cache = adapter.forward(student_feat)
-    if lifted.shape != teacher_feat.shape:
-        raise ShapeMismatch(f"adapter output {lifted.shape} vs teacher features {teacher_feat.shape}")
-    ns, safe = _normalize_l2(lifted)
+def feature_align_loss(student_feat: np.ndarray, teacher_feat: np.ndarray) -> tuple[float, np.ndarray]:
+    """mse_loss between the two maps scaled to unit L2 norm along channels per
+    pixel, and its gradient with respect to the raw student map."""
+    if student_feat.shape != teacher_feat.shape:
+        raise ShapeMismatch(f"student features {student_feat.shape} vs teacher features {teacher_feat.shape}")
+    ns, safe = _normalize_l2(student_feat)
     nt, _ = _normalize_l2(teacher_feat)
     loss, gn = mse_loss(ns, nt)
-    gfeat, gparams = adapter.backward(_normalize_l2_grad(gn, ns, safe), cache)
-    return loss, gfeat, gparams
+    return loss, _normalize_l2_grad(gn, ns, safe)
 
 
 def _descend(layer, grads: dict, learning_rate: float) -> None:
@@ -128,23 +116,21 @@ def make_input_sampler(shape: tuple, count: int, seed: int) -> list[np.ndarray]:
     return [gen.standard_normal(shape).astype(np.float32) for _ in range(count)]
 
 
-def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | None,
-                  config: DistillConfig, inputs: list[np.ndarray]):
+def distill_train(teacher: LayerGraph, student: LayerGraph, loss, config: DistillConfig,
+                  inputs: list[np.ndarray]):
     """SGD over the fixed input list; returns (student, per-epoch mean loss).
 
-    With an adapter the loss is feature alignment between the graph outputs
-    treated as feature maps; without one it is mse_loss on the outputs.
-    The student (and adapter) are updated in place, one step per sample, and
-    each step runs the student forward once. An empty input list is EmptyInput;
-    models that differ in input shape, or without an adapter in output shape,
-    are ShapeMismatch before either model runs.
+    loss(student_out, teacher_out) returns (value, gradient w.r.t.
+    student_out): mse_loss, or feature_align_loss with a student from
+    with_adapter. The student is updated in place, one step per sample, and
+    each step runs it forward once. An empty input list is EmptyInput; models
+    that differ in input or output shape are ShapeMismatch before either
+    model runs.
     """
     if len(inputs) == 0:
         raise EmptyInput("distillation needs at least one input sample")
-    shapes = [("input", teacher.input_shape, student.input_shape)]
-    if adapter is None:
-        shapes.append(("output", teacher.output_shape, student.output_shape))
-    for kind, t_shape, s_shape in shapes:
+    for kind, t_shape, s_shape in (("input", teacher.input_shape, student.input_shape),
+                                   ("output", teacher.output_shape, student.output_shape)):
         if t_shape != s_shape:
             raise ShapeMismatch(f"teacher and student differ in {kind} shape: teacher {t_shape}, student {s_shape}")
     trace = []
@@ -153,18 +139,11 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
         total = 0.0
         for x, target in zip(inputs, targets):
             out, tape = student.forward(x, record=True)
-            if adapter is not None:
-                loss, gout, adapter_grads = align_and_loss(out, target, adapter)
-            else:
-                # looked up by name at each call, so perfbench's traced distill.mse_loss span records it
-                loss, gout = mse_loss(out, target)
-                adapter_grads = None
+            value, gout = loss(out, target)
             grads, _ = student.backward(tape, gout)
             del tape  # not held through the next step's forward
             sgd_step(student, grads, config.learning_rate)
-            if adapter_grads:
-                _descend(adapter.conv, adapter_grads, config.learning_rate)
-            total += loss
+            total += value
         trace.append(total / len(inputs))
     return student, trace
 
@@ -172,7 +151,8 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, adapter: Adapter | N
 def fine_tune(pruned: LayerGraph, reference: LayerGraph, config: DistillConfig,
               inputs: list[np.ndarray]):
     """Recover a pruned model by regressing its outputs onto the reference's."""
-    return distill_train(reference, pruned, None, config, inputs)
+    # mse_loss is looked up by name at each call, so perfbench's traced distill.mse_loss span records it
+    return distill_train(reference, pruned, mse_loss, config, inputs)
 
 
 def format_trace_csv(trace) -> str:

@@ -25,14 +25,14 @@ from fastpose.datio import (
     write_result_csv,
 )
 from fastpose.distill import (
-    Adapter,
     DistillConfig,
-    align_and_loss,
     distill_train,
+    feature_align_loss,
     fine_tune,
     make_input_sampler,
     mse_loss,
     sgd_step,
+    with_adapter,
 )
 from fastpose.geom import CameraIntrinsics, Pose, make_model
 from fastpose.metrics import (
@@ -392,9 +392,9 @@ def test_07_feature_alignment_beats_controls(capsys):
     shape = teacher.input_shape
     lr, epochs, n_inputs = 0.1, 12, 4
 
-    def align_score(student, adapter, inputs, targets):
+    def align_score(adapted, inputs, targets):
         return float(np.mean([
-            align_and_loss(student.forward(x), t, adapter)[0]
+            feature_align_loss(adapted.forward(x), t)[0]
             for x, t in zip(inputs, targets)
         ]))
 
@@ -404,33 +404,27 @@ def test_07_feature_alignment_beats_controls(capsys):
         targets = [teacher.forward(x) for x in inputs]
 
         student_cfg = ToyConfig(backbone_width=16, seed=100 + seed)
-        trained = build_toy_backbone(student_cfg)
-        adapter = Adapter.create(16, 32, seed=seed)
-        distill_train(teacher, trained, adapter,
+        trained = with_adapter(build_toy_backbone(student_cfg), 32, seed=seed)
+        distill_train(teacher, trained, feature_align_loss,
                       DistillConfig(learning_rate=lr, epochs=epochs), inputs)
-        s_trained = align_score(trained, adapter, inputs, targets)
+        s_trained = align_score(trained, inputs, targets)
 
-        fresh = build_toy_backbone(ToyConfig(backbone_width=16, seed=5000 + seed))
-        fresh_adapter = Adapter.create(16, 32, seed=900 + seed)
-        if s_trained < align_score(fresh, fresh_adapter, inputs, targets):
+        fresh = with_adapter(build_toy_backbone(ToyConfig(backbone_width=16, seed=5000 + seed)), 32, seed=900 + seed)
+        if s_trained < align_score(fresh, inputs, targets):
             wins_fresh += 1
 
         # Same starting point and budget, but the targets are pure noise:
         # any advantage over this control comes from the teacher signal.
-        noisy = build_toy_backbone(student_cfg)
-        noisy_adapter = Adapter.create(16, 32, seed=seed)
+        noisy = with_adapter(build_toy_backbone(student_cfg), 32, seed=seed)
         ngen = rng.derive(seed, "noise-targets")
         noise_targets = [ngen.standard_normal(t.shape).astype(np.float32) for t in targets]
         for _ in range(epochs):
             for x, tgt in zip(inputs, noise_targets):
                 out, tape = noisy.forward(x, record=True)
-                _, gout, agrads = align_and_loss(out, tgt, noisy_adapter)
+                _, gout = feature_align_loss(out, tgt)
                 grads, _ = noisy.backward(tape, gout)
                 sgd_step(noisy, grads, lr)
-                for key, gv in agrads.items():
-                    noisy_adapter.conv.set_param(
-                        key, noisy_adapter.conv.params()[key] - lr * gv)
-        if s_trained < align_score(noisy, noisy_adapter, inputs, targets):
+        if s_trained < align_score(noisy, inputs, targets):
             wins_noise += 1
 
     elapsed = time.perf_counter() - t0

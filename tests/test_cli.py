@@ -136,6 +136,33 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "mesh1.ply" in err and "obj_000001.ply" in err
 
+    # each command names a file that does not exist, so exit 2 shows the flag was checked before any read
+    @pytest.mark.parametrize("command, flag, value", [
+        ("distill", "--epochs", "-1"),
+        ("distill", "--lr", "0"),
+        ("distill", "--lr", "-0.5"),
+        ("distill", "--lr", "nan"),
+        ("distill", "--lr", "inf"),
+        ("distill", "--seed", "-1"),
+        ("build", "--seed", "-1"),
+        ("bench", "--seed", "-1"),
+        ("bench", "--iterations", "0"),
+        ("bench", "--warmup", "-1"),
+        ("prune", "--degree-head", "-1"),
+        ("prune", "--degree-pnp", "-1"),
+    ])
+    def test_out_of_range_value_is_a_usage_error_naming_the_flag(self, command, flag, value, tmp_path,
+                                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        inputs = {"distill": ["--teacher", "missing.json", "--student", "missing.json"],
+                  "build": ["--config", "missing.json"], "bench": ["--model", "missing.json"],
+                  "prune": ["--model", "missing.json"]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs[command], flag, value, "--out", "out.json"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_module_runs_as_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fastpose.cli", "--help"],
@@ -571,12 +598,6 @@ class TestBenchCommand:
                      "--label", "pruned,d1", "--out", str(out)]) == 1
         assert "label" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_bad_iteration_count_is_a_data_error(self, tmp_path, capsys):
-        model = build_model(tmp_path, "m.json", module="pnp")
-        capsys.readouterr()
-        assert main(["bench", "--model", str(model), "--iterations", "0",
-                     "--out", str(tmp_path / "l.csv")]) == 1
 
 
 class TestReportCommand:

@@ -6,16 +6,17 @@ import copy
 import numpy as np
 import pytest
 
+from fastpose import distill
 from fastpose.distill import (
-    Adapter,
     DistillConfig,
-    align_and_loss,
     distill_train,
+    feature_align_loss,
     fine_tune,
     format_trace_csv,
     make_input_sampler,
     mse_loss,
     sgd_step,
+    with_adapter,
 )
 from fastpose.errors import (
     EmptyInput,
@@ -91,77 +92,115 @@ class TestMseLoss:
         assert grad.dtype == dtype
 
 
-def float64_adapter(in_channels: int, out_channels: int, seed: int) -> Adapter:
+def adapter_graph(feat_shape: tuple, channels: int, seed: int = 0) -> LayerGraph:
+    """The adapter alone: with_adapter on a graph with no layers, whose output
+    is its input, so the graph input is the student feature map."""
+    return with_adapter(LayerGraph(feat_shape, []), channels, seed)
+
+
+def float64_adapter(feat_shape: tuple, channels: int, seed: int) -> LayerGraph:
+    graph = adapter_graph(feat_shape, channels)
     gen = np.random.default_rng(seed)
-    weight = (0.3 * gen.standard_normal((out_channels, in_channels, 1, 1)))
-    bias = 0.1 * gen.standard_normal(out_channels)
-    return Adapter(Conv2D("adapter", [GRAPH_INPUT], weight, bias))
+    conv = graph.layer("adapter")
+    conv.set_param("weight", 0.3 * gen.standard_normal((channels, feat_shape[0], 1, 1)))
+    conv.set_param("bias", 0.1 * gen.standard_normal(channels))
+    return graph
 
 
-def identity_adapter(channels: int) -> Adapter:
-    weight = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
-    return Adapter(Conv2D("adapter", [GRAPH_INPUT], weight, np.zeros(channels, np.float32)))
+def identity_adapter(feat_shape: tuple) -> LayerGraph:
+    channels = feat_shape[0]
+    graph = adapter_graph(feat_shape, channels)
+    conv = graph.layer("adapter")
+    conv.set_param("weight", np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1))
+    conv.set_param("bias", np.zeros(channels, np.float32))
+    return graph
 
 
-class TestAdapter:
-    def test_create_shapes_and_determinism(self):
-        a = Adapter.create(3, 8, seed=9)
-        b = Adapter.create(3, 8, seed=9)
-        assert a.conv.weight.shape == (8, 3, 1, 1)
-        assert a.conv.bias.shape == (8,)
-        np.testing.assert_array_equal(a.conv.weight, b.conv.weight)
-        assert not np.array_equal(
-            a.conv.weight, Adapter.create(3, 8, seed=10).conv.weight
-        )
+def align_step(graph: LayerGraph, feat: np.ndarray, teacher_feat: np.ndarray):
+    """(loss, gradient w.r.t. the graph input, parameter gradients) of one
+    feature-alignment step through the graph."""
+    out, tape = graph.forward(feat, record=True)
+    loss, gout = feature_align_loss(out, teacher_feat)
+    grads, gfeat = graph.backward(tape, gout)
+    return loss, gfeat, grads
+
+
+class TestWithAdapter:
+    def test_appends_a_seeded_pointwise_conv_to_the_student(self):
+        student = build_toy_backbone(ToyConfig(backbone_width=8, seed=1))
+        a = with_adapter(student, 16, seed=9)
+        b = with_adapter(student, 16, seed=9)
+        conv = a.layer("adapter")
+        assert len(a.layers) == len(student.layers) + 1
+        assert all(x is y for x, y in zip(a.layers, student.layers))
+        assert (a.output, conv.inputs) == ("adapter", [student.output])
+        assert (a.input_shape, a.output_shape) == (student.input_shape, (16, 8, 8))
+        assert (conv.kernel, conv.stride, conv.padding) == (1, 1, 0)
+        assert conv.weight.shape == (16, 8, 1, 1)
+        assert conv.bias.shape == (16,)
+        np.testing.assert_array_equal(conv.weight, b.layer("adapter").weight)
+        assert not np.array_equal(conv.weight, with_adapter(student, 16, seed=10).layer("adapter").weight)
+
+    def test_a_step_on_the_adapted_graph_trains_the_student_in_place(self):
+        teacher = build_toy_backbone(ToyConfig(backbone_width=16, seed=1))
+        student = build_toy_backbone(ToyConfig(backbone_width=8, seed=2))
+        before = copy.deepcopy(student.params())
+        adapted = with_adapter(student, 16, seed=3)
+        x = make_input_sampler(student.input_shape, 1, seed=4)[0]
+        _, _, grads = align_step(adapted, x, teacher.forward(x))
+        assert set(grads) == set(student.params()) | {"adapter"}
+        sgd_step(adapted, grads, 0.1)
+        for name, params in student.params().items():
+            for key, arr in params.items():
+                np.testing.assert_array_equal(arr, before[name][key] - 0.1 * grads[name][key])
 
     def test_cannot_reduce_channels(self):
-        with pytest.raises(InvalidConfig):
-            Adapter.create(8, 3)
+        with pytest.raises(InvalidConfig) as exc:
+            adapter_graph((8, 4, 4), 3)
+        assert str(exc.value) == "adapter cannot reduce the channel count: student 8, teacher 3"
 
-    def test_must_wrap_pointwise_conv(self):
-        w = np.zeros((2, 2, 3, 3), dtype=np.float32)
-        conv = Conv2D("adapter", [GRAPH_INPUT], w, np.zeros(2, np.float32), padding=1)
-        with pytest.raises(InvalidConfig):
-            Adapter(conv)
+    def test_needs_a_feature_map_output(self):
+        with pytest.raises(ShapeMismatch):
+            with_adapter(build_toy_gdrn(ToyConfig(8, 16, 8, 4, seed=1)), 16)
 
 
-class TestAlignAndLoss:
+class TestFeatureAlignLoss:
     def test_matching_features_give_zero_loss(self):
         feat = np.random.default_rng(5).standard_normal((3, 4, 4)).astype(np.float32)
-        loss, gfeat, gparams = align_and_loss(feat, feat.copy(), identity_adapter(3))
+        loss, gfeat, gparams = align_step(identity_adapter(feat.shape), feat, feat.copy())
         assert loss < 1e-10
         np.testing.assert_allclose(gfeat, 0.0, atol=1e-5)
-        for g in gparams.values():
+        for g in gparams["adapter"].values():
             np.testing.assert_allclose(g, 0.0, atol=1e-5)
 
     def test_l2_normalization_ignores_feature_scale(self):
         feat = np.random.default_rng(6).standard_normal((3, 4, 4)).astype(np.float32)
-        loss, _, _ = align_and_loss(2.5 * feat, feat, identity_adapter(3))
+        loss, _ = feature_align_loss(2.5 * feat, feat)
         assert loss < 1e-10
 
     def test_channel_count_mismatch_rejected(self):
         student = np.zeros((2, 4, 4), np.float32)
         teacher = np.zeros((8, 4, 4), np.float32)
         with pytest.raises(ShapeMismatch):
-            align_and_loss(student, teacher, identity_adapter(2))
+            feature_align_loss(student, teacher)
 
     def test_gradients_match_central_differences(self):
         gen = np.random.default_rng(8)
         student = gen.standard_normal((2, 3, 3))
         teacher = gen.standard_normal((4, 3, 3))
-        adapter = float64_adapter(2, 4, seed=13)
+        adapter = float64_adapter(student.shape, 4, seed=13)
 
         def f(_=None):
-            return align_and_loss(student, teacher, adapter)[0]
+            return feature_align_loss(adapter.forward(student), teacher)[0]
 
-        _, gfeat, gparams = align_and_loss(student, teacher, adapter)
+        _, gfeat, gparams = align_step(adapter, student, teacher)
         for idx in np.ndindex(student.shape):
             numeric = oracles.central_difference(f, student, idx)
             assert oracles.gradcheck_rel_err(float(gfeat[idx]), numeric) < 1e-6
-        for key, arr in adapter.conv.params().items():
+        for key, arr in adapter.layer("adapter").params().items():
             for idx in np.ndindex(arr.shape):
                 numeric = oracles.central_difference(f, arr, idx)
-                assert oracles.gradcheck_rel_err(float(gparams[key][idx]), numeric) < 1e-6
+                assert oracles.gradcheck_rel_err(float(gparams["adapter"][key][idx]), numeric) < 1e-6
 
 
 def scalar_graph(weight: float) -> LayerGraph:
@@ -247,7 +286,7 @@ class TestDistillTrain:
         teacher, student = tiny_teacher_student(0)
         inputs = make_input_sampler((1, 4, 4), 3, seed=1)
         cfg = DistillConfig(learning_rate=0.05, epochs=7)
-        _, trace = distill_train(teacher, student, None, cfg, inputs)
+        _, trace = distill_train(teacher, student, mse_loss, cfg, inputs)
         assert len(trace) == 7
 
     def test_zero_epochs_changes_nothing(self):
@@ -255,7 +294,7 @@ class TestDistillTrain:
         before = copy.deepcopy(student.params())
         cfg = DistillConfig(learning_rate=0.05, epochs=0)
         _, trace = distill_train(
-            teacher, student, None, cfg, make_input_sampler((1, 4, 4), 2, seed=2)
+            teacher, student, mse_loss, cfg, make_input_sampler((1, 4, 4), 2, seed=2)
         )
         assert trace == []
         for name, params in student.params().items():
@@ -268,7 +307,7 @@ class TestDistillTrain:
             teacher, student = tiny_teacher_student(seed + 10)
             inputs = make_input_sampler((1, 4, 4), 1, seed=seed)
             cfg = DistillConfig(learning_rate=0.05, epochs=20)
-            _, trace = distill_train(teacher, student, None, cfg, inputs)
+            _, trace = distill_train(teacher, student, mse_loss, cfg, inputs)
             drops += trace[-1] < trace[0]
         assert drops == 5
 
@@ -277,8 +316,8 @@ class TestDistillTrain:
         twin = copy.deepcopy(student)
         inputs = make_input_sampler((1, 4, 4), 2, seed=4)
         cfg = DistillConfig(learning_rate=0.05, epochs=5)
-        _, trace_a = distill_train(teacher, student, None, cfg, inputs)
-        _, trace_b = distill_train(teacher, twin, None, cfg, inputs)
+        _, trace_a = distill_train(teacher, student, mse_loss, cfg, inputs)
+        _, trace_b = distill_train(teacher, twin, mse_loss, cfg, inputs)
         assert trace_a == trace_b
         for name, params in student.params().items():
             for key, arr in params.items():
@@ -286,24 +325,23 @@ class TestDistillTrain:
 
     def test_adapter_route_reduces_alignment_loss(self):
         teacher, student = tiny_teacher_student(5, student_channels=2, teacher_channels=4)
-        adapter = Adapter.create(2, 4, seed=5)
+        adapted = with_adapter(student, 4, seed=5)
         inputs = make_input_sampler((1, 4, 4), 2, seed=6)
         cfg = DistillConfig(learning_rate=0.1, epochs=30)
-        _, trace = distill_train(teacher, student, adapter, cfg, inputs)
+        _, trace = distill_train(teacher, adapted, feature_align_loss, cfg, inputs)
         assert trace[-1] < trace[0]
 
-    @pytest.mark.parametrize("with_adapter", [False, True])
-    def test_student_runs_forward_once_per_step(self, with_adapter, layer_forward_calls):
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_student_runs_forward_once_per_step(self, adapted, layer_forward_calls):
         teacher = build_toy_backbone(ToyConfig(backbone_width=16, seed=1))
-        student = build_toy_backbone(ToyConfig(backbone_width=8 if with_adapter else 16, seed=2))
-        adapter = Adapter.create(8, 16, seed=3) if with_adapter else None
+        student = build_toy_backbone(ToyConfig(backbone_width=8 if adapted else 16, seed=2))
+        trained, loss = (with_adapter(student, 16, seed=3), feature_align_loss) if adapted else (student, mse_loss)
         inputs = make_input_sampler(student.input_shape, 2, seed=4)
         cfg = DistillConfig(learning_rate=1e-3, epochs=3)
-        distill_train(teacher, student, adapter, cfg, inputs)
-        assert [layer_forward_calls[layer] for layer in student.layers] == [6] * len(student.layers)
+        distill_train(teacher, trained, loss, cfg, inputs)
+        assert [layer_forward_calls[layer] for layer in trained.layers] == [6] * len(trained.layers)
         assert [layer_forward_calls[layer] for layer in teacher.layers] == [2] * len(teacher.layers)
-        if adapter is not None:
-            assert layer_forward_calls[adapter.conv] == 6
+        assert len(trained.layers) == len(student.layers) + adapted
 
     def test_student_shifted_on_every_output_gets_loss_and_gradient(self):
         # The pose output is not a class distribution: a student 5 units above
@@ -314,18 +352,21 @@ class TestDistillTrain:
         shifted = out.bias + np.float32(5.0)
         out.set_param("bias", shifted)
         inputs = make_input_sampler(student.input_shape, 2, seed=2)
-        _, trace = distill_train(teacher, student, None, DistillConfig(learning_rate=1e-6), inputs)
+        _, trace = distill_train(teacher, student, mse_loss, DistillConfig(learning_rate=1e-6), inputs)
         assert trace[0] == pytest.approx(25.0, rel=1e-5)
         assert (student.layer("pnp.out").bias < shifted).all()
 
-    @pytest.mark.parametrize("with_adapter", [False, True])
-    def test_input_shape_mismatch_raises_before_any_forward(self, with_adapter, layer_forward_calls):
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_input_shape_mismatch_raises_before_any_forward(self, adapted, layer_forward_calls):
         cfg = ToyConfig(8, 16, 8, 4, seed=1)
-        teacher, student = build_toy_head(cfg), build_toy_gdrn(cfg)
-        adapter = Adapter.create(9, 9) if with_adapter else None
+        teacher = build_toy_head(cfg)
+        if adapted:
+            student, loss = with_adapter(build_toy_backbone(cfg), teacher.output_shape[0]), feature_align_loss
+        else:
+            student, loss = build_toy_gdrn(cfg), mse_loss
         inputs = make_input_sampler(student.input_shape, 2, seed=2)
         with pytest.raises(ShapeMismatch) as exc:
-            distill_train(teacher, student, adapter, DistillConfig(), inputs)
+            distill_train(teacher, student, loss, DistillConfig(), inputs)
         assert str(exc.value) == ("teacher and student differ in input shape: "
                                   f"teacher {teacher.input_shape}, student {student.input_shape}")
         assert sum(layer_forward_calls.values()) == 0
@@ -334,23 +375,35 @@ class TestDistillTrain:
         teacher, student = tiny_teacher_student(6, student_channels=2, teacher_channels=4)
         inputs = make_input_sampler((1, 4, 4), 2, seed=7)
         with pytest.raises(ShapeMismatch) as exc:
-            distill_train(teacher, student, None, DistillConfig(), inputs)
+            distill_train(teacher, student, mse_loss, DistillConfig(), inputs)
         assert str(exc.value) == "teacher and student differ in output shape: teacher (4, 4, 4), student (2, 4, 4)"
+        assert sum(layer_forward_calls.values()) == 0
+
+    def test_adapter_route_output_shape_mismatch_raises_before_any_forward(self, layer_forward_calls):
+        # equal input shapes and channel counts, but the teacher's map is half the size
+        teacher, student = tiny_teacher_student(6, student_channels=2, teacher_channels=4)
+        conv = teacher.layers[0]
+        teacher = LayerGraph((1, 4, 4), [Conv2D("t", ["@input"], conv.weight, conv.bias, stride=2)])
+        adapted = with_adapter(student, 4)
+        inputs = make_input_sampler((1, 4, 4), 2, seed=7)
+        with pytest.raises(ShapeMismatch) as exc:
+            distill_train(teacher, adapted, feature_align_loss, DistillConfig(), inputs)
+        assert str(exc.value) == "teacher and student differ in output shape: teacher (4, 2, 2), student (4, 4, 4)"
         assert sum(layer_forward_calls.values()) == 0
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_empty_input_list_raises(self, epochs):
         teacher, student = tiny_teacher_student(6)
         with pytest.raises(EmptyInput):
-            distill_train(teacher, student, None, DistillConfig(epochs=epochs), [])
+            distill_train(teacher, student, mse_loss, DistillConfig(epochs=epochs), [])
 
     def test_seed_does_not_change_training(self):
         teacher, student = tiny_teacher_student(7)
         twin = copy.deepcopy(student)
         inputs = make_input_sampler((1, 4, 4), 2, seed=8)
-        _, trace_a = distill_train(teacher, student, None,
+        _, trace_a = distill_train(teacher, student, mse_loss,
                                    DistillConfig(learning_rate=0.05, epochs=3, seed=0), inputs)
-        _, trace_b = distill_train(teacher, twin, None,
+        _, trace_b = distill_train(teacher, twin, mse_loss,
                                    DistillConfig(learning_rate=0.05, epochs=3, seed=11), inputs)
         assert trace_a == trace_b
         for name, params in student.params().items():
@@ -407,11 +460,25 @@ class TestFineTune:
         inputs = make_input_sampler((3, 64, 64), 2, seed=11)
         cfg = DistillConfig(learning_rate=1e-3, epochs=2)
         _, tuned_trace = fine_tune(pruned, reference, cfg, inputs)
-        _, distilled_trace = distill_train(reference, twin, None, cfg, inputs)
+        _, distilled_trace = distill_train(reference, twin, mse_loss, cfg, inputs)
         assert tuned_trace == distilled_trace
         for name, params in pruned.params().items():
             for key, arr in params.items():
                 np.testing.assert_array_equal(arr, twin.params()[name][key])
+
+    def test_looks_mse_loss_up_at_each_call(self, monkeypatch):
+        # the benchmark's traced net-train run replaces distill.mse_loss by name and must see every step
+        calls = []
+
+        def counting(out, target):
+            calls.append(out.shape)
+            return mse_loss(out, target)
+
+        monkeypatch.setattr(distill, "mse_loss", counting)
+        reference = build_toy_backbone(ToyConfig(backbone_width=8, seed=7))
+        inputs = make_input_sampler(reference.input_shape, 2, seed=12)
+        fine_tune(copy.deepcopy(reference), reference, DistillConfig(epochs=3), inputs)
+        assert calls == [reference.output_shape] * 6
 
 
 class TestDistillConfig:
