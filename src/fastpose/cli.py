@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import format_latency_csv, format_report_csv, measure_latency, read_runs_csv
+from .bench import DEFAULT_ITERATIONS, DEFAULT_WARMUP, format_latency_csv, format_report_csv, measure_latency, read_runs_csv
 from .datio import load_object_models, parse_gt_json, parse_result_csv
 from .distill import DistillConfig, distill_train, feature_align_loss, format_trace_csv, make_input_sampler, mse_loss, with_adapter
 from .errors import FastposeError
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time forward passes of a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--iterations", type=_int_at_least(1), default=200)
-    p.add_argument("--warmup", type=_int_at_least(0), default=10)
+    p.add_argument("--iterations", type=_int_at_least(1), default=DEFAULT_ITERATIONS)
+    p.add_argument("--warmup", type=_int_at_least(0), default=DEFAULT_WARMUP)
     p.add_argument("--label", default="model")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="write a latency CSV here")

@@ -303,6 +303,9 @@ def parse_ply(path, meta: ObjectMeta | None = None, where: str = "object") -> Ob
     meta = meta or ObjectMeta()
     try:
         return make_model(vertices, triangles, meta.symmetries, meta.symmetric, meta.diameter)
+    except InvalidRotation as exc:  # named by its row in meta: make_model may prepend the identity
+        bad = np.argmin(is_rotation(meta.symmetries[:, :, :3]))
+        raise InvalidRotation(f"{where}.symmetries[{bad}]: R is not a rotation within 1e-6") from exc
     except ValueError as exc:
         raise SchemaViolation(where, str(exc)) from exc
 
@@ -411,11 +414,7 @@ def parse_gt_json(path) -> tuple[list[GroundTruthRecord], dict[int, ObjectMeta]]
         rows = entry.get("symmetries", [])
         if not isinstance(rows, list):
             raise SchemaViolation(f"{where}.symmetries", "must be a list of 3x4 rows")
-        syms = _symmetry_rows(rows, f"{where}.symmetries")
-        valid = is_rotation(syms[:, :, :3])
-        if not valid.all():
-            raise InvalidRotation(f"{where}.symmetries[{np.argmin(valid)}]: R is not a rotation within 1e-6")
-        objects[obj_id] = ObjectMeta(diameter, symmetric, syms)
+        objects[obj_id] = ObjectMeta(diameter, symmetric, _symmetry_rows(rows, f"{where}.symmetries"))
 
     records = []
     for i, inst in enumerate(instances):

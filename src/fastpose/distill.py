@@ -97,17 +97,14 @@ def feature_align_loss(student_feat: np.ndarray, teacher_feat: np.ndarray) -> tu
     return loss, _normalize_l2_grad(gn, ns, safe)
 
 
-def _descend(layer, grads: dict, learning_rate: float) -> None:
-    for key, g in grads.items():
-        layer.set_param(key, layer.params()[key] - learning_rate * g)
-
-
 def sgd_step(graph: LayerGraph, grads: dict, learning_rate: float) -> None:
     """In-place w <- w - lr * g over every gradient entry."""
     if not gradients_congruent(graph, grads):
         raise ShapeMismatch("gradients are not congruent with the graph parameters")
     for name, by_key in grads.items():
-        _descend(graph.layer(name), by_key, learning_rate)
+        layer = graph.layer(name)
+        for key, g in by_key.items():
+            layer.set_param(key, layer.params()[key] - learning_rate * g)
 
 
 def make_input_sampler(shape: tuple, count: int, seed: int) -> list[np.ndarray]:

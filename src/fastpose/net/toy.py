@@ -61,6 +61,8 @@ class ToyConfig:
             raise InvalidConfig(f"pnp_width must be a positive multiple of {PNP_GROUP}")
         if self.d_head < 0 or self.d_pnp < 0:
             raise InvalidConfig("degrees must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.head_conv_width < HEAD_GROUP:
             raise InvalidConfig(f"d_head={self.d_head} leaves fewer than {HEAD_GROUP} head filters")
         if self.pnp_conv_width < PNP_GROUP:

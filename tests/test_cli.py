@@ -129,6 +129,17 @@ class TestArgumentHandling:
         results.write_text("scene_id,im_id,obj_id,score,R,t,time\n1,2\n")
         assert main(eval_args(gt, meshes, results)) == 1
 
+    def test_non_rotation_symmetry_names_its_gt_json_row(self, tmp_path, capsys):
+        gt, meshes, results = eval_fixture(tmp_path)
+        rot_z180 = [-1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, 1.0, 0]
+        skewed = [1.0, 0.1, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0]
+        doc = json.loads(gt.read_text())
+        doc["objects"]["7"] = {"symmetries": [rot_z180, skewed, skewed]}  # no identity row: the model gets one first
+        gt.write_text(json.dumps(doc))
+        (meshes / "obj_000007.ply").write_text(cube_ply_text())
+        assert main(eval_args(gt, meshes, results)) == 1
+        assert capsys.readouterr().err == "error: $.objects.7.symmetries[1]: R is not a rotation within 1e-6\n"
+
     def test_two_meshes_with_one_id_are_a_data_error(self, tmp_path, capsys):
         gt, meshes, results = eval_fixture(tmp_path)
         (meshes / "mesh1.ply").write_text(cube_ply_text())
@@ -349,6 +360,13 @@ class TestBuild:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"mystery": 1}))
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
+
+    def test_negative_config_seed_is_a_data_error_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=-1)
+        out = tmp_path / "m.json"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc, named", [
         ({"regions": 4.7}, "'regions'"), ({"regions": True}, "'regions'"), ({"regions": "8"}, "'regions'"),

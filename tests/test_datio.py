@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fastpose import datio
+from fastpose import datio, geom
 from fastpose.datio import (
     EstimateRecord,
     ObjectMeta,
@@ -30,7 +30,7 @@ from fastpose.errors import (
     SchemaViolation,
     UnsupportedFormat,
 )
-from fastpose.geom import Pose
+from fastpose.geom import Pose, is_rotation
 
 from conftest import random_pose
 
@@ -585,6 +585,16 @@ def gt_file(tmp_path, doc):
     return path
 
 
+def load_gt_models(tmp_path, doc):
+    """The models of `doc`'s objects, each a unit cube, as parse_gt_json and load_object_models build them."""
+    mesh_dir = tmp_path / "meshes"
+    mesh_dir.mkdir()
+    for key in doc["objects"]:
+        (mesh_dir / f"obj_{int(key):06d}.ply").write_text(cube_ply())
+    _, objects = parse_gt_json(gt_file(tmp_path, doc))
+    return load_object_models(mesh_dir, objects)
+
+
 class TestGroundTruthJson:
     def test_minimal_document(self, tmp_path):
         records, objects = parse_gt_json(gt_file(tmp_path, minimal_gt_doc()))
@@ -818,7 +828,7 @@ class TestGroundTruthJson:
             [2.0, 0, 0, 0, 0, 2.0, 0, 0, 0, 0, 2.0, 0]
         ]
         with pytest.raises(InvalidRotation):
-            parse_gt_json(gt_file(tmp_path, doc))
+            load_gt_models(tmp_path, doc)
 
     def test_invalid_rotation_names_the_first_bad_symmetry(self, tmp_path):
         doc = minimal_gt_doc()
@@ -826,8 +836,25 @@ class TestGroundTruthJson:
         skewed = [1.0, 0.1, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0]
         doc["objects"]["7"]["symmetries"] = [rot_z180, skewed, skewed]
         with pytest.raises(InvalidRotation) as exc:
-            parse_gt_json(gt_file(tmp_path, doc))
+            load_gt_models(tmp_path, doc)
         assert str(exc.value).startswith("$.objects.7.symmetries[1]: ")
+
+    def test_each_symmetry_table_is_rotation_checked_once(self, tmp_path, monkeypatch):
+        rows_checked = []
+
+        def counted(matrix, *args):
+            rows_checked.append(len(matrix))
+            return is_rotation(matrix, *args)
+
+        monkeypatch.setattr(datio, "is_rotation", counted)
+        monkeypatch.setattr(geom, "is_rotation", counted)
+        identity = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+        rot_z180 = [-1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0]
+        rot_x180 = [1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0]
+        doc = {"instances": [], "objects": {"3": {"symmetries": [identity, rot_z180]},
+                                            "5": {"symmetries": [identity, rot_x180, rot_z180]}}}
+        models = load_gt_models(tmp_path, doc)
+        assert [len(models[3].symmetries), len(models[5].symmetries)] == rows_checked == [2, 3]
 
     def test_first_non_finite_symmetry_is_named(self, tmp_path):
         doc = minimal_gt_doc()

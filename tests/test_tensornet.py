@@ -763,6 +763,7 @@ class TestToyNetwork:
             (dict(regions=0), "regions must be >= 1"),
             (dict(pnp_width=3), "pnp_width must be a positive multiple of 4"),
             (dict(backbone_width=0), "backbone_width must be a positive multiple of 8"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
         ],
     )
     def test_config_validation(self, kw, message):
