@@ -134,7 +134,7 @@ def _element_count(text: str, line_no: int) -> int:
     return count
 
 
-_PLY_CHUNK_LINES = 1 << 9  # body lines read at once: a chunk the C reader refuses is held as Python lists, about 150 KB
+_PLY_CHUNK_LINES = 1 << 9  # body lines the per-line rules hold as Python lists at once, about 150 KB
 
 
 def _vertex_line(line: str, line_no: int, props: int, xyz: list[int]) -> list[float]:
@@ -168,41 +168,27 @@ def _face_line(line: str, line_no: int, n_vertices: int) -> list[int]:
     return [count, *idx]
 
 
-def _read_chunk(chunk: list[str], width: int, dtype) -> np.ndarray | None:
-    """The chunk's lines as one (len(chunk), width) array read by np.loadtxt,
-    NumPy's C tokenizer and converter, or None if it refuses them.
-
-    Its floats come from the correctly rounded conversion float() uses and
-    its integers are exact, so every value it reads is the per-line rules'
-    value. It refuses more than they do (underscores, non-ASCII digits) and
-    skips blank lines, hence the shape check.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data" and the like refuse the chunk
-            part = np.loadtxt(chunk, dtype, comments=None, ndmin=2)
-    except (ValueError, OverflowError, Warning):
-        return None
-    return part if part.shape == (len(chunk), width) else None
-
-
 def _element_rows(lines: list[str], first_line_no: int, width: int, dtype, valid, line_rules) -> np.ndarray:
     """An element's body lines as one (len(lines), width) array.
 
-    The body is read _PLY_CHUNK_LINES lines at a time by _read_chunk. When a
-    chunk is refused or the array check `valid` fails, `line_rules` read the
-    whole element again line by line: they raise the first bad line's error
-    with its number, or return each line's values.
+    One np.loadtxt call, NumPy's C tokenizer and converter, reads the whole
+    body. Its floats come from the correctly rounded conversion float() uses
+    and its integers are exact, so every value it reads is the per-line rules'
+    value. It refuses more than they do (underscores, non-ASCII digits) and
+    skips blank lines, hence the shape check. When it refuses the body or the
+    array check `valid` fails, `line_rules` read the element again line by
+    line, _PLY_CHUNK_LINES lines at a time: they raise the first bad line's
+    error with its number, or return each line's values.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" and the like refuse the body
+            rows = np.loadtxt(lines, dtype, comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        rows = None
+    if rows is not None and rows.shape == (len(lines), width) and valid(rows):
+        return rows
     rows = np.empty((len(lines), width), dtype)
-    for lo in range(0, len(lines), _PLY_CHUNK_LINES):
-        part = _read_chunk(lines[lo : lo + _PLY_CHUNK_LINES], width, dtype)
-        if part is None:
-            break
-        rows[lo : lo + len(part)] = part
-    else:
-        if valid(rows):
-            return rows
     for lo in range(0, len(lines), _PLY_CHUNK_LINES):
         chunk = lines[lo : lo + _PLY_CHUNK_LINES]
         rows[lo : lo + len(chunk)] = [line_rules(line, first_line_no + i) for i, line in enumerate(chunk, lo)]

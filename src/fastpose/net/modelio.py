@@ -122,7 +122,10 @@ def load_model(path: str | Path) -> LayerGraph:
     if manifest.get("version") != FORMAT_VERSION:
         raise UnsupportedFormat(f"{path}: unsupported version {manifest.get('version')!r}")
     weights_file = path.parent / _need(manifest, "weights_file", "$", str)
-    weights = np.frombuffer(weights_file.read_bytes(), dtype="<f4")
+    blob = weights_file.read_bytes()
+    if len(blob) % 4:
+        raise UnsupportedFormat(f"{weights_file}: {len(blob)} bytes is not a multiple of 4 (float32 weights)")
+    weights = np.frombuffer(blob, dtype="<f4")
     input_shape = _ints(_need(manifest, "input_shape", "$"), "$.input_shape")
     entries = _need(manifest, "layers", "$", list)
     layers = [_build_layer(e, weights, f"$.layers[{i}]") for i, e in enumerate(entries)]

@@ -107,7 +107,7 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        assert command in capsys.readouterr().out or True
+        assert f"usage: fastpose {command}" in capsys.readouterr().out
 
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -559,6 +559,15 @@ class TestBenchCommand:
         capsys.readouterr()
         assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0"]) == 1
         assert "params.weight" in capsys.readouterr().err
+
+    def test_weights_of_a_partial_float_are_a_data_error(self, tmp_path, capsys):
+        model = build_model(tmp_path, "m.json", module="pnp")
+        weights = tmp_path / "m.weights"
+        weights.write_bytes(weights.read_bytes() + b"\0\0")
+        capsys.readouterr()
+        assert main(["bench", "--model", str(model), "--iterations", "1", "--warmup", "0"]) == 1
+        err = capsys.readouterr().err
+        assert f"{weights}: {weights.stat().st_size} bytes" in err
 
     # pnp manifest layers: 0 concat, 1 conv1, 2 gn1, 3 relu1, ..., 10 flatten, 11 fc1
     @pytest.mark.parametrize("mutate, where", [

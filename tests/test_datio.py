@@ -471,6 +471,22 @@ class TestPlyArrayBody:
         assert model.vertices.tobytes() == vertices.tobytes()
         assert model.triangles.tobytes() == triangles.tobytes()
 
+    def test_each_element_is_one_loadtxt_call(self, tmp_path, monkeypatch):
+        loadtxt, calls = np.loadtxt, []
+
+        def counted(lines, *args, **kwargs):
+            calls.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(datio.np, "loadtxt", counted)
+        path = tmp_path / "styled.ply"
+        path.write_bytes(styled_ply(np.random.default_rng(11), 1200, 2000, extra=True, crlf=False).encode())
+        vertices, triangles = oracles.ply_loop(path)
+        model = parse_ply(path)
+        assert calls == [1200, 2000]  # the vertex body, then the face body, each read whole
+        assert model.vertices.tobytes() == vertices.tobytes()
+        assert model.triangles.tobytes() == triangles.tobytes()
+
     # Spellings around the C reader's edge, each on a line of a middle 3-line
     # chunk: vertex line 14 ("1 0 0") or face line 22 ("3 0 4 5") of the cube.
     @pytest.mark.parametrize("old, new, error, line_no", [

@@ -863,6 +863,13 @@ class TestModelIO:
             load_model(self.mutated(tmp_path, mutate))
         assert exc.value.path == path
 
+    def test_weights_of_a_partial_float_rejected(self, tmp_path):
+        save_model(self.small_graph(), tmp_path / "m.json")
+        blob = (tmp_path / "m.weights").read_bytes()
+        (tmp_path / "m.weights").write_bytes(blob + b"\0\0")
+        with pytest.raises(UnsupportedFormat, match=f"m.weights: {len(blob) + 2} bytes is not a multiple of 4"):
+            load_model(tmp_path / "m.json")
+
     def test_truncated_weights_rejected(self, tmp_path):
         save_model(self.small_graph(), tmp_path / "m.json")
         blob = (tmp_path / "m.weights").read_bytes()
