@@ -120,10 +120,6 @@ def serialize_result_csv(records: list[EstimateRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_result_csv(path, records: list[EstimateRecord]) -> None:
-    Path(path).write_text(serialize_result_csv(records), encoding="utf-8")
-
-
 def _element_count(text: str, line_no: int) -> int:
     try:
         count = int(text)

@@ -1,8 +1,10 @@
 """Teacher-student training: one SGD loop with a loss callback.
 
-distill_train steps a student graph on a fixed input list against the
-teacher's outputs; its loss callback returns (value, gradient w.r.t. the
-student output). Two callbacks ship:
+train runs one pass of SGD over any iterable of (input, target) pairs, a
+list or a generator, one step per pair; epochs are the caller's loop.
+Its loss callback returns (value, gradient w.r.t. the graph output).
+distill_train calls it once per epoch with the teacher's outputs on a
+fixed input list as the targets. Two callbacks ship:
 
 * mse_loss, output regression. The toy network's output is a pose, not
   class logits, so it is regressed; a softmax over it would not see a
@@ -113,16 +115,36 @@ def make_input_sampler(shape: tuple, count: int, seed: int) -> list[np.ndarray]:
     return [gen.standard_normal(shape).astype(np.float32) for _ in range(count)]
 
 
+def train(graph: LayerGraph, pairs, loss, learning_rate: float) -> float:
+    """One SGD pass over `pairs`, any iterable of (x, target); returns the
+    pass's mean loss.
+
+    loss(out, target) returns (value, gradient w.r.t. out). The graph is
+    updated in place, one step per pair, and each step runs it forward
+    once. An iterable that yields no pair is EmptyInput.
+    """
+    total, n = 0.0, 0
+    for x, target in pairs:
+        out, tape = graph.forward(x, record=True)
+        value, gout = loss(out, target)
+        grads, _ = graph.backward(tape, gout)
+        del tape  # not held through the next step's forward
+        sgd_step(graph, grads, learning_rate)
+        total += value
+        n += 1
+    if n == 0:
+        raise EmptyInput("training needs at least one (input, target) pair")
+    return total / n
+
+
 def distill_train(teacher: LayerGraph, student: LayerGraph, loss, config: DistillConfig,
                   inputs: list[np.ndarray]):
-    """SGD over the fixed input list; returns (student, per-epoch mean loss).
+    """One train pass per epoch over the fixed input list, with the teacher's
+    outputs as targets; returns (student, per-epoch mean loss).
 
-    loss(student_out, teacher_out) returns (value, gradient w.r.t.
-    student_out): mse_loss, or feature_align_loss with a student from
-    with_adapter. The student is updated in place, one step per sample, and
-    each step runs it forward once. An empty input list is EmptyInput; models
-    that differ in input or output shape are ShapeMismatch before either
-    model runs.
+    loss is mse_loss, or feature_align_loss with a student from
+    with_adapter. An empty input list is EmptyInput; models that differ in
+    input or output shape are ShapeMismatch before either model runs.
     """
     if len(inputs) == 0:
         raise EmptyInput("distillation needs at least one input sample")
@@ -130,18 +152,8 @@ def distill_train(teacher: LayerGraph, student: LayerGraph, loss, config: Distil
                                    ("output", teacher.output_shape, student.output_shape)):
         if t_shape != s_shape:
             raise ShapeMismatch(f"teacher and student differ in {kind} shape: teacher {t_shape}, student {s_shape}")
-    trace = []
-    targets = [teacher.forward(x) for x in inputs]
-    for _ in range(config.epochs):
-        total = 0.0
-        for x, target in zip(inputs, targets):
-            out, tape = student.forward(x, record=True)
-            value, gout = loss(out, target)
-            grads, _ = student.backward(tape, gout)
-            del tape  # not held through the next step's forward
-            sgd_step(student, grads, config.learning_rate)
-            total += value
-        trace.append(total / len(inputs))
+    pairs = list(zip(inputs, [teacher.forward(x) for x in inputs]))
+    trace = [train(student, pairs, loss, config.learning_rate) for _ in range(config.epochs)]
     return student, trace
 
 

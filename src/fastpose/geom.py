@@ -126,10 +126,6 @@ class Pose:
         """self after other: (self.compose(other))(x) == self(other(x))."""
         return Pose(self.rotation @ other.rotation, self.rotation @ other.translation + self.translation)
 
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to an (n, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
@@ -260,14 +256,6 @@ def _pairwise_diameter(vertices: np.ndarray) -> float:
         if 1e-100 < best < 1e100:
             vertices = vertices[r + r.max() >= best * (1.0 - 1e-9)]
     return float(np.sqrt(max(d2.max() for d2 in _sq_distance_blocks(vertices, vertices, upper=True))))
-
-
-def project_point(camera: CameraIntrinsics, x) -> np.ndarray:
-    """Pinhole projection of a camera-space point with z > 0."""
-    p = np.asarray(x, dtype=np.float64)
-    if p[2] <= 0:
-        raise NonPositiveDepth(f"point depth {p[2]} <= 0")
-    return np.array([camera.fx * p[0] / p[2] + camera.cx, camera.fy * p[1] / p[2] + camera.cy])
 
 
 def project_points(camera: CameraIntrinsics, points: np.ndarray) -> np.ndarray:

@@ -106,13 +106,7 @@ class HeadLayout:
         # regions + 1: last bin means "no region".
         return (0, self.regions + 1)
 
-    @property
-    def visible_mask(self) -> tuple[int, int]:
-        return (self.regions + 1, self.regions + 2)
-
-    @property
-    def amodal_mask(self) -> tuple[int, int]:
-        return (self.regions + 2, self.regions + 3)
+    # Channels regions + 1 and regions + 2 are the visible and amodal masks; no code reads them.
 
     @property
     def coordinates(self) -> tuple[int, int]:

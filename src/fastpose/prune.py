@@ -57,10 +57,6 @@ class PrunePlan:
                 clean[name] = tuple(chans)
         object.__setattr__(self, "removed", clean)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.removed
-
     def to_dict(self) -> dict:
         return {
             "format": PLAN_FORMAT,

@@ -66,12 +66,6 @@ class DistanceMap:
         box.setflags(write=False)
         self.width, self.height, self.box, self.row0, self.col0 = width, height, box, row0, col0
 
-    @staticmethod
-    def from_depth(depth: np.ndarray) -> "DistanceMap":
-        """A full-frame map of a copy of the (height, width) depth array."""
-        d = np.array(depth, dtype=np.float64)
-        return DistanceMap(d.shape[1], d.shape[0], d)
-
     def _frame(self, box: np.ndarray) -> np.ndarray:
         frame = np.zeros((self.height, self.width), box.dtype)
         frame[self.row0:self.row0 + box.shape[0], self.col0:self.col0 + box.shape[1]] = box

@@ -4,9 +4,10 @@ Everything here recomputes a production result through a deliberately
 different algorithm: per-pixel ray casting instead of scanline
 rasterization, explicit Python loops instead of vectorized reductions,
 naive accumulation instead of closed-form counting. Shared on purpose are
-the elementary one-step primitives (rigid transform, composition, pinhole
-projection, small-array mean): each is a handful of IEEE operations behind
-a name, and sharing them is what makes exact-match assertions meaningful.
+the elementary one-step primitives (rigid transform, composition,
+small-array mean), and project_point below repeats the production pinhole
+formula for one point: each is a handful of IEEE operations behind a name,
+and sharing them is what makes exact-match assertions meaningful.
 The correspondence, symmetry, matching, and reduction structure is always
 coded independently. Four references instead keep the production arithmetic
 and change only the iteration, so results must match byte for byte: the
@@ -25,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fastpose.geom import ROTATION_TOL, CameraIntrinsics, ObjectModel, Pose, project_point
+from fastpose.errors import NonPositiveDepth
+from fastpose.geom import ROTATION_TOL, CameraIntrinsics, ObjectModel, Pose
 from fastpose.net import GroupNorm
 from fastpose.raster import NEAR_MM, _clip_near, render_distance_map
 
@@ -259,6 +261,15 @@ def mssd_reference(model: ObjectModel, pose_est: Pose, pose_gt: Pose) -> float:
         if worst < best:
             best = worst
     return best
+
+
+def project_point(camera: CameraIntrinsics, x) -> np.ndarray:
+    """Pinhole projection of one camera-space point with z > 0, in the
+    production formula of geom.project_points, so the bytes match."""
+    p = np.asarray(x, dtype=np.float64)
+    if p[2] <= 0:
+        raise NonPositiveDepth(f"point depth {p[2]} <= 0")
+    return np.array([camera.fx * p[0] / p[2] + camera.cx, camera.fy * p[1] / p[2] + camera.cy])
 
 
 def mspd_reference(model: ObjectModel, pose_est: Pose, pose_gt: Pose,

@@ -22,7 +22,7 @@ from fastpose.datio import (
     load_object_models,
     parse_gt_json,
     parse_result_csv,
-    write_result_csv,
+    serialize_result_csv,
 )
 from fastpose.distill import (
     DistillConfig,
@@ -31,7 +31,7 @@ from fastpose.distill import (
     fine_tune,
     make_input_sampler,
     mse_loss,
-    sgd_step,
+    train,
     with_adapter,
 )
 from fastpose.geom import CameraIntrinsics, Pose, make_model
@@ -419,11 +419,7 @@ def test_07_feature_alignment_beats_controls(capsys):
         ngen = rng.derive(seed, "noise-targets")
         noise_targets = [ngen.standard_normal(t.shape).astype(np.float32) for t in targets]
         for _ in range(epochs):
-            for x, tgt in zip(inputs, noise_targets):
-                out, tape = noisy.forward(x, record=True)
-                _, gout = feature_align_loss(out, tgt)
-                grads, _ = noisy.backward(tape, gout)
-                sgd_step(noisy, grads, lr)
+            train(noisy, list(zip(inputs, noise_targets)), feature_align_loss, lr)
         if s_trained < align_score(noisy, inputs, targets):
             wins_noise += 1
 
@@ -524,7 +520,7 @@ def _build_eval_fixture(tmp_path):
         estimates.append(EstimateRecord(3, 999, obj_id, 0.5, random_pose(gen)))
         extras += 1
     res_path = tmp_path / "estimates.csv"
-    write_result_csv(res_path, estimates)
+    res_path.write_text(serialize_result_csv(estimates), encoding="utf-8")
     return gt_path, mesh_dir, res_path, extras
 
 

@@ -19,7 +19,6 @@ from fastpose.datio import (
     parse_ply,
     parse_result_csv,
     serialize_result_csv,
-    write_result_csv,
 )
 from fastpose.errors import (
     FastposeError,
@@ -166,7 +165,7 @@ class TestResultCsvSerialization:
             for _ in range(20)
         ]
         path = tmp_path / "out.csv"
-        write_result_csv(path, records)
+        path.write_text(serialize_result_csv(records), encoding="utf-8")
         again = parse_result_csv(path)
         assert len(again) == len(records)
         for a, b in zip(records, again):
@@ -562,7 +561,8 @@ class TestPlyArrayBody:
         assert exc.value.line_no == 17
 
     def test_first_failing_line_wins_over_a_later_unreadable_chunk(self, tmp_path, monkeypatch):
-        # line 18's index is read by the C reader; line 25's chunk is refused, so the rules re-read from line 18
+        # the one np.loadtxt call refuses the whole face body because of line 25's `six`; the per-line
+        # rules then read from the body's first line, 18, whose index 99 fails before line 25 is reached
         monkeypatch.setattr(datio, "_PLY_CHUNK_LINES", 3)
         text = cube_ply().replace("3 0 1 3\n", "3 0 1 99\n").replace("3 2 7 6\n", "3 2 7 six\n")
         with pytest.raises(IndexOutOfRange, match="line 18:"):

@@ -1,5 +1,6 @@
 """Teacher-student training tests: output regression, feature alignment,
-SGD, and the distillation / fine-tuning loops."""
+SGD, the training pass over (input, target) pairs, and the distillation /
+fine-tuning loops built on it."""
 
 import copy
 
@@ -16,6 +17,7 @@ from fastpose.distill import (
     make_input_sampler,
     mse_loss,
     sgd_step,
+    train,
     with_adapter,
 )
 from fastpose.errors import (
@@ -279,6 +281,73 @@ def tiny_teacher_student(seed: int, student_channels: int = 2, teacher_channels:
         return LayerGraph((1, 4, 4), [Conv2D(key, ["@input"], w, b)])
 
     return conv_graph(teacher_channels, "t"), conv_graph(student_channels, "s")
+
+
+class TestTrain:
+    def pairs(self, teacher, count, seed):
+        return [(x, teacher.forward(x)) for x in make_input_sampler((1, 4, 4), count, seed=seed)]
+
+    def test_generator_of_pairs_is_accepted(self):
+        teacher, student = tiny_teacher_student(20)
+        twin = copy.deepcopy(student)
+        pairs = self.pairs(teacher, 3, seed=21)
+        from_list = train(student, pairs, mse_loss, 0.05)
+        from_generator = train(twin, ((x, t) for x, t in pairs), mse_loss, 0.05)
+        assert from_generator == from_list
+        for name, params in student.params().items():
+            for key, arr in params.items():
+                assert arr.tobytes() == twin.params()[name][key].tobytes()
+
+    def test_returns_the_mean_of_the_step_losses(self):
+        teacher, student = tiny_teacher_student(22)
+        values = []
+
+        def recording(out, target):
+            value, grad = mse_loss(out, target)
+            values.append(value)
+            return value, grad
+
+        mean = train(student, self.pairs(teacher, 3, seed=23), recording, 0.05)
+        assert len(values) == 3 and len(set(values)) == 3
+        assert mean == sum(values) / 3
+
+    @pytest.mark.parametrize("pairs", [[], iter(())], ids=["list", "iterator"])
+    def test_no_pairs_raises(self, pairs, layer_forward_calls):
+        _, student = tiny_teacher_student(24)
+        before = copy.deepcopy(student.params())
+        with pytest.raises(EmptyInput):
+            train(student, pairs, mse_loss, 0.05)
+        assert sum(layer_forward_calls.values()) == 0
+        for name, params in student.params().items():
+            for key, arr in params.items():
+                np.testing.assert_array_equal(arr, before[name][key])
+
+    def test_one_distill_epoch_is_one_pass_over_teacher_pairs(self):
+        teacher = build_toy_backbone(ToyConfig(backbone_width=16, seed=25))
+        student = with_adapter(build_toy_backbone(ToyConfig(backbone_width=8, seed=26)), 16, seed=27)
+        twin = copy.deepcopy(student)
+        inputs = make_input_sampler(student.input_shape, 2, seed=28)
+        _, trace = distill_train(teacher, student, feature_align_loss,
+                                 DistillConfig(learning_rate=0.1, epochs=1), inputs)
+        mean = train(twin, [(x, teacher.forward(x)) for x in inputs], feature_align_loss, 0.1)
+        assert trace == [mean]
+        for name, params in student.params().items():
+            for key, arr in params.items():
+                assert arr.tobytes() == twin.params()[name][key].tobytes()
+
+    def test_looks_sgd_step_up_at_each_step(self, monkeypatch):
+        # the benchmark's traced net-train run replaces distill.sgd_step by name and must see every step
+        calls = []
+
+        def counting(graph, grads, learning_rate):
+            calls.append((graph, learning_rate))
+            return sgd_step(graph, grads, learning_rate)
+
+        teacher, student = tiny_teacher_student(29)
+        pairs = self.pairs(teacher, 3, seed=30)
+        monkeypatch.setattr(distill, "sgd_step", counting)
+        train(student, iter(pairs), mse_loss, 0.05)
+        assert calls == [(student, 0.05)] * 3
 
 
 class TestDistillTrain:

@@ -70,7 +70,7 @@ class TestFindPrunable:
 class TestPlanning:
     def test_zero_degrees_give_empty_plan(self):
         g = build_toy_gdrn(small_cfg())
-        assert plan_prune(g, PruneConfig()).is_empty
+        assert plan_prune(g, PruneConfig()).removed == {}
 
     def test_zeroed_group_is_selected(self):
         g = build_toy_head(small_cfg(head_width=64))
@@ -154,7 +154,7 @@ class TestPlanDocument:
         assert plan.removed["a"] == (1, 3)
 
     def test_empty_channel_lists_are_dropped(self):
-        assert PrunePlan({"a": ()}).is_empty
+        assert PrunePlan({"a": ()}).removed == {}
 
     def test_negative_channel_rejected(self):
         with pytest.raises(InconsistentPlan):

@@ -587,19 +587,6 @@ class TestDistanceMapType:
         assert dm.box.flags.writeable is False
         assert dm.depth[3, 3] == 700.0 and dm.visible.sum() == 1 and dm.depth.shape == (4, 5)
 
-    def test_from_depth(self):
-        depth = np.zeros((4, 5))
-        depth[1, 2] = 700.0
-        dm = DistanceMap.from_depth(depth)
-        assert dm.width == 5 and dm.height == 4
-        assert dm.visible[1, 2] and dm.visible.sum() == 1
-
-    def test_from_depth_leaves_the_callers_array_alone(self):
-        depth = np.zeros((2, 3))
-        dm = DistanceMap.from_depth(depth)
-        depth[0, 0] = 1.0
-        assert depth.flags.writeable and not dm.visible.any()
-
 
 class TestPgm:
     def test_header_and_rounding(self, tmp_path):
@@ -607,7 +594,7 @@ class TestPgm:
         depth[0, 1] = 499.6
         depth[1, 2] = 1000.4
         path = tmp_path / "map.pgm"
-        write_pgm(DistanceMap.from_depth(depth), path)
+        write_pgm(DistanceMap(3, 2, depth), path)
         lines = path.read_text(encoding="ascii").splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "3 2"

@@ -687,8 +687,6 @@ class TestToyNetwork:
         regions = 4
         layout = HeadLayout(regions)
         assert layout.region_logits == (0, regions + 1)
-        assert layout.visible_mask == (regions + 1, regions + 2)
-        assert layout.amodal_mask == (regions + 2, regions + 3)
         assert layout.coordinates == (regions + 3, regions + 6)
         assert layout.total == regions + 6
         assert layout.pose_input_ranges == [(0, regions + 1), (regions + 3, regions + 6)]
